@@ -155,9 +155,4 @@ object Ceaff {
     val fused = fr.fused.cache()
     CeaffResult(align(spark, fused, cfg), fused, fr.weights)
   }
-
-  /** Convenience: full pipeline from a benchmark. */
-  def runAll(spark: SparkSession, b: EaBenchmark,
-             cfg: CeaffConfig = CeaffConfig()): CeaffResult =
-    run(spark, features(spark, b), cfg)
 }

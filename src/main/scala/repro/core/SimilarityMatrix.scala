@@ -76,15 +76,4 @@ object SimilarityMatrix {
       .groupBy("src", "dst")
       .agg(sum("score").as("score"))
   }
-
-  /** Min-max normalise scores into [0, 1] (used to put cosine features,
-    * which can be negative, on the same footing as the Levenshtein ratio
-    * before fusion).
-    */
-  def minMaxNormalize(m: DataFrame): DataFrame = {
-    val agg = m.agg(min("score").as("lo"), max("score").as("hi")).first()
-    val lo = agg.getDouble(0); val hi = agg.getDouble(1)
-    if (hi - lo < 1e-12) m.select(col("src"), col("dst"), lit(0.0).as("score"))
-    else m.select(col("src"), col("dst"), ((col("score") - lit(lo)) / lit(hi - lo)).as("score"))
-  }
 }

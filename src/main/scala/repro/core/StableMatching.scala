@@ -1,99 +1,58 @@
 package repro.core
 
-import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.storage.StorageLevel
+import org.apache.spark.sql.functions.{asc, desc}
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 
 /** Collective EA as the Stable Matching Problem (paper §VI).
   *
   * Preference lists on both sides come from the fused similarity matrix:
   * a source entity prefers targets by descending score; a target prefers
   * proposers by descending score of the same cell. Ties are broken by
-  * ascending id on both sides, making preferences strict and the
-  * (source-optimal) stable matching unique — so the distributed and the
-  * reference implementation must agree exactly, which the tests check.
-  *
-  * [[daa]] is the deferred acceptance algorithm as an iterative RDD
-  * computation: every round, all currently-unmatched source entities
-  * propose to the next target on their list simultaneously; each target
-  * keeps the best proposal seen so far (possibly displacing its
-  * provisional partner). This parallel variant produces the same
-  * source-optimal stable matching as the sequential Gale–Shapley.
+  * ascending id on both sides, making preferences strict and the stable
+  * matching unique — so [[daa]] and the Gale–Shapley [[referenceDaa]]
+  * must agree exactly, which the tests check.
   */
 object StableMatching {
 
-  /** Deferred acceptance on a similarity matrix, distributed.
+  /** Deferred acceptance on a similarity matrix, as one sorted scan.
     *
     * In CEAFF both sides rank by the *same* matrix cell values (a source
     * prefers targets by `M(u,v)`, a target prefers sources by the same
     * `M(u,v)`), with ties broken by ascending opposite-side id. Under
-    * such aligned strict preferences the stable matching is unique and
-    * can be computed by repeatedly matching every cell that is
-    * simultaneously the maximum of its row and of its column (the
-    * globally-top remaining cell always is one, so progress is
-    * guaranteed; any such mutual-best pair blocks every matching that
-    * omits it, so it belongs to every stable matching). This "parallel
-    * proposal wave" formulation matches whole batches per round —
-    * typically O(log n) rounds instead of the O(n²) single-proposal
-    * rounds of textbook Gale–Shapley — and returns exactly the matching
-    * of [[referenceDaa]], which the test suite verifies.
+    * these aligned preferences, take the cells in the global order
+    * (score desc, src asc, dst asc). The first cell `(u,v)` whose source
+    * and target are both still unmatched is mutual-best: every other
+    * remaining cell of row `u` or column `v` comes later in that order,
+    * so it has a lower score or loses the id tie-break. A mutual-best
+    * pair blocks every matching that omits it, so it belongs to every
+    * stable matching. Matching it and repeating on the rest gives the
+    * unique stable matching, which is the greedy matching in global
+    * order: one Spark sort, then a streaming scan on the driver.
     *
-    * @param m similarity matrix `(src, dst, score)`; preference lists are
-    *          complete over the matrix's support
-    * @return matches `(src, dst)`; every source entity is matched when
-    *         `#src <= #dst` and lists are complete
+    * @param m similarity matrix `(src, dst, score)`; preference lists must
+    *          be complete over the matrix's support
+    * @return matches `(src, dst)`, `min(#src, #dst)` of them
+    * @throws IllegalArgumentException if the lists are incomplete and
+    *         fewer pairs can be matched
     */
-  def daa(spark: SparkSession, m: DataFrame, maxRounds: Int = 100000): DataFrame = {
+  def daa(spark: SparkSession, m: DataFrame): DataFrame = {
     import spark.implicits._
-    val sc = spark.sparkContext
-
-    // Strict "better" under aligned preferences: higher score, then the
-    // smaller opposite-side id (same tie-break on both sides).
-    def better(a: (Long, Double), b: (Long, Double)): (Long, Double) =
-      if (a._2 > b._2 || (a._2 == b._2 && a._1 < b._1)) a else b
-
-    val cells: RDD[(Long, Long, Double)] =
-      m.select("src", "dst", "score").as[(Long, Long, Double)].rdd
-        .persist(StorageLevel.MEMORY_AND_DISK)
-    val counts = cells.mapPartitions { it =>
-      val ss = scala.collection.mutable.Set.empty[Long]
-      val ds = scala.collection.mutable.Set.empty[Long]
-      it.foreach { case (s, d, _) => ss += s; ds += d }
-      Iterator((ss.toSet, ds.toSet))
-    }.reduce { case ((a1, a2), (b1, b2)) => (a1 ++ b1, a2 ++ b2) }
-    val target = math.min(counts._1.size, counts._2.size)
-
-    val matchedSrc = scala.collection.mutable.Set.empty[Long]
-    val matchedDst = scala.collection.mutable.Set.empty[Long]
-    val matched = scala.collection.mutable.ArrayBuffer.empty[(Long, Long)]
-    var round = 0
-
-    // One Spark job per round: a single composite-key reduce finds every
-    // row-best and col-best among unmatched cells; the (tiny) result is
-    // collected and the mutual-best pairs extracted on the driver.
-    while (matched.size < target && round < maxRounds) {
-      val bs = sc.broadcast(matchedSrc.toSet)
-      val bd = sc.broadcast(matchedDst.toSet)
-      val bests: Array[((Boolean, Long), (Long, Double))] = cells
-        .filter { case (s, d, _) => !bs.value(s) && !bd.value(d) }
-        .flatMap { case (s, d, v) =>
-          Iterator(((false, s), (d, v)), ((true, d), (s, v)))
-        }
-        .reduceByKey(better)
-        .collect()
-      val rowBest = bests.collect { case ((false, s), (d, _)) => s -> d }.toMap
-      val colBest = bests.collect { case ((true, d), (s, _)) => d -> s }.toMap
-      val mutual = rowBest.filter { case (s, d) => colBest.get(d).contains(s) }
-      require(mutual.nonEmpty,
-        s"no mutual-best cell with ${target - matched.size} pairs to go — impossible")
-      mutual.foreach { case (s, d) => matchedSrc += s; matchedDst += d }
-      matched ++= mutual
-      bs.destroy(); bd.destroy()
-      round += 1
-    }
-    cells.unpersist()
-    require(matched.size == target, s"stable matching did not converge within $maxRounds rounds")
+    val srcs = mutable.Set.empty[Long]
+    val dsts = mutable.Set.empty[Long]
+    val matchedDst = mutable.Set.empty[Long]
+    val matched = mutable.LinkedHashMap.empty[Long, Long]
+    m.select("src", "dst", "score").as[(Long, Long, Double)]
+      .orderBy(desc("score"), asc("src"), asc("dst"))
+      .toLocalIterator().asScala
+      .foreach { case (s, d, _) =>
+        srcs += s; dsts += d
+        if (!matched.contains(s) && !matchedDst(d)) { matched(s) = d; matchedDst += d }
+      }
+    val target = math.min(srcs.size, dsts.size)
+    require(matched.size == target,
+      s"incomplete preference lists: matched ${matched.size} of $target pairs")
     matched.toSeq.toDF("src", "dst")
   }
 

@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.kg.EaBenchmark
+import repro.kg.{BenchmarkGen, EaBenchmark}
 import repro.text.HashVectors
 
 /** Structural feature `M^s`: seed-anchored GCN propagation.
@@ -25,7 +25,6 @@ import repro.text.HashVectors
   */
 object StructuralFeature {
 
-  val DefaultDim = 32
   val DefaultLayers = 2
 
   /** Structural cosines are rescaled by this factor. Anchored propagation
@@ -94,7 +93,7 @@ object StructuralFeature {
     */
   def embed(spark: SparkSession, triples: DataFrame, universe: DataFrame,
             anchors: DataFrame, side: Int,
-            dim: Int = DefaultDim, layers: Int = DefaultLayers,
+            dim: Int = BenchmarkGen.Dim, layers: Int = DefaultLayers,
             initOverride: Option[DataFrame] = None): DataFrame = {
     import spark.implicits._
 
@@ -151,7 +150,7 @@ object StructuralFeature {
   /** Anchor tables for the two sides: each seed pair `(u, v)` shares one
     * deterministic unit vector keyed by the pair.
     */
-  def anchors(spark: SparkSession, pairs: DataFrame, dim: Int = DefaultDim)
+  def anchors(spark: SparkSession, pairs: DataFrame, dim: Int = BenchmarkGen.Dim)
       : (DataFrame, DataFrame) = {
     import spark.implicits._
     val withVec = pairs.select(col("src"), col("dst")).as[(Long, Long)]
@@ -169,7 +168,7 @@ object StructuralFeature {
     *                   baselines append confident matches here)
     */
   def matrix(spark: SparkSession, b: EaBenchmark,
-             dim: Int = DefaultDim, layers: Int = DefaultLayers,
+             dim: Int = BenchmarkGen.Dim, layers: Int = DefaultLayers,
              extraPairs: Option[DataFrame] = None): DataFrame = {
     val pairs = extraPairs match {
       case Some(p) => b.seeds.union(p.select(col("src"), col("dst"))).distinct()

@@ -45,9 +45,13 @@ object Experiments {
     BenchmarkGen.generate(spark, scenario, s.nGold, s.nFringe, seedFor(scenario)).cached()
   }
 
-  /** Progress line with a wall-clock stamp (stderr, unbuffered). */
+  private val startNanos = System.nanoTime()
+
+  /** Progress line stamped with the seconds since the harness started
+    * (stderr, unbuffered).
+    */
   def progress(msg: String): Unit =
-    Console.err.println(f"[exp +${System.nanoTime() / 1e9}%.0fs] $msg")
+    Console.err.println(f"[exp +${(System.nanoTime() - startNanos) / 1e9}%.1fs] $msg")
 
   // -------------------------------------------------------------------
   // Table II — dataset statistics

@@ -104,10 +104,4 @@ class CeaffSpec extends SparkSpec with Fixtures {
       assert(math.abs(s - StructuralFeature.CosineScale) < 2 * StructuralFeature.JitterAmp,
         s"seed structural score $s"))
   }
-
-  test("runAll is equivalent to features+run") {
-    val direct = Ceaff.runAll(spark, mono, CeaffConfig(collective = false))
-    val viaFs = Ceaff.run(spark, fsMono, CeaffConfig(collective = false))
-    assert(matchMap(direct.matches) == matchMap(viaFs.matches))
-  }
 }

@@ -130,19 +130,4 @@ class SimilarityMatrixSpec extends SparkSpec with Fixtures {
     assert(SimilarityMatrix.testDomain(test).count() == 9)
     assert(SimilarityMatrix.testDomain(test).distinct().count() == 9)
   }
-
-  test("minMaxNormalize maps scores into [0,1] preserving order") {
-    val norm = cells(SimilarityMatrix.minMaxNormalize(m))
-    assert(norm.map(_._3).min == 0.0)
-    assert(norm.map(_._3).max == 1.0)
-    val orig = cells(m).sortBy(c => (c._1, c._2)).map(_._3)
-    val got = norm.sortBy(c => (c._1, c._2)).map(_._3)
-    assert(orig.zip(orig.tail).map { case (a, b) => a < b }
-      == got.zip(got.tail).map { case (a, b) => a < b })
-  }
-
-  test("minMaxNormalize of a constant matrix is all zero") {
-    val const = mat(Seq((0L, 0L, 0.5), (0L, 1L, 0.5)))
-    assert(cells(SimilarityMatrix.minMaxNormalize(const)).forall(_._3 == 0.0))
-  }
 }

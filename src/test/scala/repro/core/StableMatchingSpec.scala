@@ -96,17 +96,31 @@ class StableMatchingSpec extends SparkSpec with Fixtures {
   // ---- distributed implementation -------------------------------------
 
   test("distributed DAA equals the reference on random instances") {
-    // A handful of instances (each distributed run spawns Spark jobs).
+    // Square, wide (#src < #dst) and tall (#src > #dst) instances, each
+    // with distinct scores and with scores drawn from three values (heavy
+    // ties). Every instance is matched at 1 and at 8 input partitions: the
+    // matching must not depend on partitioning.
     val rnd = new scala.util.Random(4)
-    for (trial <- 1 to 5) {
+    for (trial <- 0 until 12) {
       val n = 2 + rnd.nextInt(9)
-      val perm = rnd.shuffle((1 to n * n).toList)
-      val it = perm.iterator
-      val cellSeq = for (i <- 0 until n; j <- 0 until n)
-        yield (i.toLong, j.toLong, it.next().toDouble / (n * n))
+      val (nSrc, nDst) = trial % 3 match {
+        case 0 => (n, n)
+        case 1 => (n, n + 1 + rnd.nextInt(4))
+        case _ => (n + 1 + rnd.nextInt(4), n)
+      }
+      val tied = trial % 2 == 1
+      val it = rnd.shuffle((1 to nSrc * nDst).toList).iterator
+      val cellSeq = for (i <- 0 until nSrc; j <- 0 until nDst) yield {
+        val k = it.next()
+        (i.toLong, j.toLong, if (tied) (k % 3 + 1) / 3.0 else k.toDouble / (nSrc * nDst))
+      }
       val expected = StableMatching.referenceDaa(cellSeq)
-      val got = matchMap(StableMatching.daa(spark, mat(cellSeq)))
-      assert(got == expected, s"trial $trial (n=$n): $got vs $expected")
+      assert(expected.size == math.min(nSrc, nDst))
+      for (parts <- Seq(1, 8)) {
+        val got = matchMap(StableMatching.daa(spark, mat(cellSeq).repartition(parts)))
+        assert(got == expected,
+          s"trial $trial (${nSrc}x$nDst, tied=$tied, $parts partitions): $got vs $expected")
+      }
     }
   }
 
@@ -129,6 +143,12 @@ class StableMatchingSpec extends SparkSpec with Fixtures {
     val got = matchMap(StableMatching.daa(spark, mat(cellSeq)))
     assert(got.size == n && got.values.toSet.size == n)
     assert(StableMatching.blockingPairs(cellSeq, got).isEmpty)
+  }
+
+  test("distributed DAA rejects incomplete preference lists") {
+    // After (0,0) is matched, neither src 1 nor dst 1 has a cell left.
+    val m = Seq((0L, 0L, 0.9), (1L, 0L, 0.8), (0L, 1L, 0.1))
+    intercept[IllegalArgumentException](StableMatching.daa(spark, mat(m)))
   }
 
   test("distributed DAA matches a 1x1 instance") {

@@ -98,7 +98,7 @@ class StructuralFeatureSpec extends SparkSpec with Fixtures {
 
   test("initOverride changes non-anchored init but zero vectors fall back to random") {
     val zeroInit = b.names1.select(col("id"),
-      typedLit(Seq.fill(StructuralFeature.DefaultDim)(0.0)).as("vec"))
+      typedLit(Seq.fill(BenchmarkGen.Dim)(0.0)).as("vec"))
     val (a1, _) = StructuralFeature.anchors(spark, b.seeds)
     val e = StructuralFeature.embed(spark, b.triples1, b.names1.select(col("id")),
       a1, side = 1, initOverride = Some(zeroInit))

@@ -5,7 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 /** Pure-function tests for [[Levenshtein]] plus ScalaCheck law tests.
   * DuckDB's built-in `levenshtein` serves as an oracle in
-  * [[repro.core.OracleCrossChecksSpec]] (Spark-side).
+  * [[repro.core.StringFeatureSpec]] (Spark-side).
   */
 class LevenshteinSpec extends AnyFunSuite {
 
