@@ -28,78 +28,69 @@ object AdaptiveFusion {
   val DefaultTheta1 = 0.98
   val DefaultTheta2 = 0.1
 
+  /** A confident cell of one feature, collected to the driver. Not
+    * `private`: Spark's generated decoder must reach the class.
+    */
+  private[core] final case class Cell(feature: String, src: Long, dst: Long, score: Double)
+
   /** Compute adaptive weights for `features` (name → matrix).
+    *
+    * Spark finds each feature's confident cells, the one step that reads
+    * all n² cells; there are at most about one per source entity, so the
+    * filters and sums below run on the driver over the collected cells.
+    * Set `theta1 = ∞` for the paper's "w/o θ1, θ2" ablation: then every
+    * cell weighs `1/n`.
     *
     * Falls back to equal weights when no correspondence survives the
     * filters (e.g. degenerate tiny inputs), so fusion is always defined.
     */
   def adaptiveWeights(spark: SparkSession, features: Seq[(String, DataFrame)],
                       theta1: Double = DefaultTheta1,
-                      theta2: Double = DefaultTheta2,
-                      thetaCap: Boolean = true): Map[String, Double] = {
+                      theta2: Double = DefaultTheta2): Map[String, Double] = {
+    import spark.implicits._
     require(features.nonEmpty, "no features to fuse")
     val k = features.size
     if (k == 1) return Map(features.head._1 -> 1.0)
 
     // Zero-score cells are never evidence: on sparse KGs an all-zero row
-    // and column tie pairwise and would flood the candidate set.
-    val candidates = features.map { case (name, m) =>
-      SimilarityMatrix.confidentCells(m)
-        .filter(col("score") > 0)
-        .withColumn("feature", lit(name))
-    }.reduce(_ union _).cache()
+    // and column tie pairwise and would flood the candidate set. Sorted so
+    // the sums below add in the same order whatever the partitioning.
+    val candidates = features.flatMap { case (name, m) =>
+      SimilarityMatrix.confidentCells(m).filter(col("score") > 0)
+        .select(lit(name).as("feature"), col("src"), col("dst"), col("score"))
+        .as[Cell].collect()
+    }.sortBy(c => (c.feature, c.src, c.dst))
 
     // Conflict filter: a source entity for which the features (or a tie
     // within one feature) propose more than one distinct target loses all
     // its candidates.
-    val unconflicted = {
-      val perSrc = candidates.groupBy("src")
-        .agg(countDistinct("dst").as("ndst"))
-        .filter(col("ndst") === 1)
-        .select(col("src"))
-      candidates.join(perSrc, Seq("src"))
-    }
+    val targets = candidates.groupMapReduce(_.src)(c => Set(c.dst))(_ ++ _)
+    val unconflicted = candidates.filter(c => targets(c.src).size == 1)
 
     // Shared-by-all filter + per-correspondence feature count n.
-    val withN = {
-      val perPair = unconflicted.groupBy("src", "dst")
-        .agg(countDistinct("feature").as("n"))
-        .filter(col("n") < k)
-      unconflicted.join(perPair, Seq("src", "dst"))
-    }
+    val n = unconflicted.groupMapReduce(c => (c.src, c.dst))(c => Set(c.feature))(_ ++ _)
+      .view.mapValues(_.size).toMap
+    val sums = unconflicted.filter(c => n((c.src, c.dst)) < k)
+      .groupMapReduce(_.feature) { c =>
+        if (c.score > theta1) theta2 else 1.0 / n((c.src, c.dst))
+      }(_ + _)
 
-    val capped =
-      if (thetaCap)
-        withN.withColumn("w",
-          when(col("score") > theta1, lit(theta2)).otherwise(lit(1.0) / col("n")))
-      else
-        withN.withColumn("w", lit(1.0) / col("n"))
-
-    val sums = capped.groupBy("feature").agg(sum("w").as("ws"))
-      .collect().map(r => r.getString(0) -> r.getDouble(1)).toMap
-    candidates.unpersist()
-
-    val total = sums.values.sum
-    if (total <= 0.0) features.map { case (n, _) => n -> 1.0 / k }.toMap
-    else features.map { case (n, _) => n -> sums.getOrElse(n, 0.0) / total }.toMap
+    val total = features.map { case (f, _) => sums.getOrElse(f, 0.0) }.sum
+    if (total <= 0.0) features.map { case (f, _) => f -> 1.0 / k }.toMap
+    else features.map { case (f, _) => f -> sums.getOrElse(f, 0.0) / total }.toMap
   }
 
   /** Adaptive fusion of `features` into one matrix. */
   def fuse(spark: SparkSession, features: Seq[(String, DataFrame)],
-           theta1: Double = DefaultTheta1, theta2: Double = DefaultTheta2,
-           thetaCap: Boolean = true): FusionResult = {
-    val w = adaptiveWeights(spark, features, theta1, theta2, thetaCap)
+           theta1: Double = DefaultTheta1, theta2: Double = DefaultTheta2): FusionResult = {
+    val w = adaptiveWeights(spark, features, theta1, theta2)
     FusionResult(w, SimilarityMatrix.weightedSum(spark,
       features.map { case (name, m) => (m, w(name)) }))
   }
 
   /** Fixed equal-weight fusion — the paper's "w/o AFF" ablation. */
-  def fuseEqual(spark: SparkSession, features: Seq[(String, DataFrame)]): FusionResult = {
-    require(features.nonEmpty, "no features to fuse")
-    val w = 1.0 / features.size
-    FusionResult(features.map { case (n, _) => n -> w }.toMap,
-      SimilarityMatrix.weightedSum(spark, features.map { case (_, m) => (m, w) }))
-  }
+  def fuseEqual(spark: SparkSession, features: Seq[(String, DataFrame)]): FusionResult =
+    fuseFixed(spark, features, features.map { case (n, _) => n -> 1.0 }.toMap)
 
   /** Fixed arbitrary-weight fusion (used by the LR baseline). Weights are
     * normalised to sum to 1.

@@ -13,19 +13,19 @@ import repro.text.Levenshtein
   * @param useString    include `M^l` (off = "w/o M^l")
   * @param adaptive     adaptive feature fusion (off = equal weights,
   *                     "w/o AFF")
-  * @param thetaCap     cap near-perfect correspondences at θ2 (off =
-  *                     "w/o θ1, θ2")
   * @param collective   stable matching via DAA (off = independent
   *                     row-argmax, "w/o C")
   * @param fixedWeights externally supplied weights (the LR baseline);
   *                     overrides `adaptive` when set
+  *
+  * `theta1 = Double.PositiveInfinity` is the "w/o θ1, θ2" row: no finite
+  * score exceeds it, so no correspondence is capped at θ2.
   */
 final case class CeaffConfig(
     useStruct: Boolean = true,
     useSemantic: Boolean = true,
     useString: Boolean = true,
     adaptive: Boolean = true,
-    thetaCap: Boolean = true,
     collective: Boolean = true,
     theta1: Double = AdaptiveFusion.DefaultTheta1,
     theta2: Double = AdaptiveFusion.DefaultTheta2,
@@ -75,9 +75,9 @@ object Ceaff {
                layers: Int = StructuralFeature.DefaultLayers): FeatureSet = {
     val (a1, a2) = StructuralFeature.anchors(spark, b.seeds, dim)
     val se1 = StructuralFeature.embed(spark, b.triples1, b.names1.select(col("id")),
-      a1, side = 1, dim = dim, layers = layers).cache()
+      a1, side = 1, dim = dim, layers = layers)
     val se2 = StructuralFeature.embed(spark, b.triples2, b.names2.select(col("id")),
-      a2, side = 2, dim = dim, layers = layers).cache()
+      a2, side = 2, dim = dim, layers = layers)
     val ne1 = SemanticFeature.nameEmbeddings(spark, b.names1, b.dict1, dim).cache()
     val ne2 = SemanticFeature.nameEmbeddings(spark, b.names2, b.dict2, dim).cache()
     val domain = SimilarityMatrix.testDomain(b.test)
@@ -124,13 +124,11 @@ object Ceaff {
       case None if !cfg.adaptive => AdaptiveFusion.fuseEqual(spark, feats)
       case None if cfg.useSemantic && cfg.useString =>
         val textual = AdaptiveFusion.fuse(spark,
-          Seq(Sem -> fs.mn, Str -> fs.ml), cfg.theta1, cfg.theta2, cfg.thetaCap)
+          Seq(Sem -> fs.mn, Str -> fs.ml), cfg.theta1, cfg.theta2)
         if (!cfg.useStruct) textual
         else {
-          val cachedTextual = textual.fused.cache()
           val fin = AdaptiveFusion.fuse(spark,
-            Seq(Struct -> fs.ms, Textual -> cachedTextual),
-            cfg.theta1, cfg.theta2, cfg.thetaCap)
+            Seq(Struct -> fs.ms, Textual -> textual.fused), cfg.theta1, cfg.theta2)
           // Report flattened effective weights for interpretability.
           val wt = fin.weights(Textual)
           val flat = Map(
@@ -140,7 +138,7 @@ object Ceaff {
           FusionResult(flat, fin.fused)
         }
       case None => // adaptive, but fewer than {sem, str} enabled
-        AdaptiveFusion.fuse(spark, feats, cfg.theta1, cfg.theta2, cfg.thetaCap)
+        AdaptiveFusion.fuse(spark, feats, cfg.theta1, cfg.theta2)
     }
   }
 

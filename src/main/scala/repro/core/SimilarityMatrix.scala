@@ -55,14 +55,12 @@ object SimilarityMatrix {
     * paper's *confident correspondences* for one feature (§V). Ties keep
     * every maximal cell; downstream conflict filtering handles them.
     */
-  def confidentCells(m: DataFrame): DataFrame = {
-    val rowMax = m.groupBy("src").agg(max("score").as("rmax"))
-    val colMax = m.groupBy("dst").agg(max("score").as("cmax"))
-    m.join(rowMax, Seq("src"))
-      .join(colMax, Seq("dst"))
+  def confidentCells(m: DataFrame): DataFrame =
+    m.select(col("src"), col("dst"), col("score"),
+        max("score").over(Window.partitionBy("src")).as("rmax"),
+        max("score").over(Window.partitionBy("dst")).as("cmax"))
       .filter(col("score") === col("rmax") && col("score") === col("cmax"))
       .select(col("src"), col("dst"), col("score"))
-  }
 
   /** Weighted sum `Σ wᵢ·Mᵢ` of matrices over a shared domain. Missing
     * cells contribute 0, so the result is the union of the inputs'

@@ -89,7 +89,9 @@ object StructuralFeature {
     *                 default zero init
     * @return `(id, vec)` L2-normalised structural embeddings; entities
     *         that no anchor reaches within `layers` hops stay at the
-    *         zero vector (cosine 0 to everything — no signal, no noise)
+    *         zero vector (cosine 0 to everything — no signal, no noise).
+    *         The result is cached and materialised, and the caller owns
+    *         that cache: it unpersists the result when done with it
     */
   def embed(spark: SparkSession, triples: DataFrame, universe: DataFrame,
             anchors: DataFrame, side: Int,
@@ -126,23 +128,31 @@ object StructuralFeature {
         .map { case (i, j, w) => (i, (j, w)) }
         .cache()
 
-    var emb = init.cache()
-    for (_ <- 1 to layers) {
+    def propagate(emb: RDD[(Long, Array[Double])]): RDD[(Long, Array[Double])] = {
       val propagated = edges.join(emb)
         .map { case (_, ((j, w), v)) => (j, HashVectors.scale(v, w)) }
         .reduceByKey(HashVectors.add)
         .mapValues(HashVectors.normalize)
       // Isolated entities receive no messages; keep their current vector.
-      val next = emb.leftOuterJoin(propagated)
+      emb.leftOuterJoin(propagated)
         .mapValues { case (old, p) => p.getOrElse(old) }
         .leftOuterJoin(anchorRdd) // re-clamp anchors
         .mapValues { case (v, anch) => anch.getOrElse(v) }
-        .cache()
-      next.count() // materialise before unpersisting the previous round
+    }
+
+    // Each round is materialised before the previous one is released; the
+    // last round goes straight into the returned cache.
+    var emb = init.cache()
+    for (_ <- 2 to layers) {
+      val next = propagate(emb).cache()
+      next.count()
       emb.unpersist()
       emb = next
     }
-    val out = emb.map { case (id, v) => (id, v.toSeq) }.toDF("id", "vec")
+    val last = if (layers >= 1) propagate(emb) else emb
+    val out = last.map { case (id, v) => (id, v.toSeq) }.toDF("id", "vec").cache()
+    out.count()
+    emb.unpersist()
     edges.unpersist()
     out
   }
@@ -156,7 +166,6 @@ object StructuralFeature {
     val withVec = pairs.select(col("src"), col("dst")).as[(Long, Long)]
       .map { case (u, v) => (u, v, HashVectors.unitGaussian(s"pair:$u:$v", dim).toSeq) }
       .toDF("src", "dst", "vec")
-      .cache()
     (withVec.select(col("src").as("id"), col("vec")),
      withVec.select(col("dst").as("id"), col("vec")))
   }

@@ -142,7 +142,7 @@ object Experiments {
     "w/o C, Mn"    -> CeaffConfig(collective = false, useSemantic = false),
     "w/o C, Ml"    -> CeaffConfig(collective = false, useString = false),
     "w/o C, AFF"   -> CeaffConfig(collective = false, adaptive = false),
-    "w/o th1,th2"  -> CeaffConfig(thetaCap = false))
+    "w/o th1,th2"  -> CeaffConfig(theta1 = Double.PositiveInfinity))
 
   val table5Datasets: Seq[Scenario] = Seq(
     Scenario.SrprsEnFr, Scenario.SrprsEnDe, Scenario.SrprsWd, Scenario.SrprsYg,

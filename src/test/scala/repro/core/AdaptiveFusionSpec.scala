@@ -1,8 +1,11 @@
 package repro.core
 
-import repro.{Fixtures, SparkSpec}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.lit
+import repro.{Fixtures, Oracle, SparkSpec}
 
 class AdaptiveFusionSpec extends SparkSpec with Fixtures {
+  import spark.implicits._
 
   // Figure-3 style instance (see DESIGN.md): three features whose
   // confident correspondences exercise every rule of §V.
@@ -26,6 +29,25 @@ class AdaptiveFusionSpec extends SparkSpec with Fixtures {
     Seq(0.2, 0.3, 0.1)))
   private def feats = Seq("ms" -> ms, "mn" -> mn, "ml" -> ml)
 
+  // k random 8×8 features with scores from three values, one above θ1,
+  // so row and column maxima tie. The diagonal leans high, so the
+  // features partly agree; some rows are all zero.
+  private def randomFeats(k: Int, seed: Int): Seq[(String, DataFrame)] = {
+    val rnd = new scala.util.Random(seed)
+    val (lo, mid, hi) = (0.3, 0.6, 0.99)
+    Seq.tabulate(k) { f =>
+      s"f$f" -> denseMat(Seq.tabulate(8) { i =>
+        val zero = rnd.nextInt(6) == 0
+        Seq.tabulate(8) { j =>
+          if (zero) 0.0
+          else if (i == j && rnd.nextInt(3) > 0) (if (rnd.nextBoolean()) mid else hi)
+          else if (rnd.nextInt(3) == 0) (if (rnd.nextBoolean()) lo else mid)
+          else lo
+        }
+      })
+    }
+  }
+
   test("Figure 3: adaptive weights follow the correspondence rules") {
     val w = AdaptiveFusion.adaptiveWeights(spark, feats)
     // scores: ms = 1 (weight 1 for (2,2)); mn = θ2 = 0.1; ml = 1/2 = 0.5
@@ -36,12 +58,54 @@ class AdaptiveFusionSpec extends SparkSpec with Fixtures {
   }
 
   test("weights sum to one") {
-    val w = AdaptiveFusion.adaptiveWeights(spark, feats)
-    assert(math.abs(w.values.sum - 1.0) < 1e-9)
+    for (fs <- Seq(feats, randomFeats(3, seed = 2))) {
+      val w = AdaptiveFusion.adaptiveWeights(spark, fs)
+      assert(math.abs(w.values.sum - 1.0) < 1e-9)
+      // The same bits whatever the partitioning of the inputs.
+      for (p <- Seq(1, 8)) {
+        val wp = AdaptiveFusion.adaptiveWeights(spark, fs.map { case (n, m) => n -> m.repartition(p) })
+        assert(wp == w, s"$p partitions")
+      }
+    }
+  }
+
+  test("oracle: adaptiveWeights agrees with DuckDB on random tied instances") {
+    val (th1, th2) = (AdaptiveFusion.DefaultTheta1, AdaptiveFusion.DefaultTheta2)
+    for (k <- Seq(2, 3); seed <- 1 to 6) {
+      val fs = randomFeats(k, seed)
+      val w = AdaptiveFusion.adaptiveWeights(spark, fs)
+      Oracle.assertEquivalent(
+        w.toSeq.toDF("feature", "w"),
+        s"""WITH m AS (
+           |  SELECT feature, CAST(src AS BIGINT) AS src, CAST(dst AS BIGINT) AS dst,
+           |         CAST(score AS DOUBLE) AS score FROM cells),
+           |conf AS (
+           |  SELECT * FROM m
+           |  WHERE score > 0
+           |    AND score = (SELECT max(r.score) FROM m r WHERE r.feature = m.feature AND r.src = m.src)
+           |    AND score = (SELECT max(c.score) FROM m c WHERE c.feature = m.feature AND c.dst = m.dst)),
+           |unconflicted AS (
+           |  SELECT * FROM conf
+           |  WHERE src IN (SELECT src FROM conf GROUP BY src HAVING count(DISTINCT dst) = 1)),
+           |pairs AS (
+           |  SELECT src, dst, count(DISTINCT feature) AS n FROM unconflicted GROUP BY src, dst),
+           |sums AS (
+           |  SELECT u.feature, sum(CASE WHEN u.score > $th1 THEN CAST($th2 AS DOUBLE)
+           |                             ELSE 1.0 / CAST(p.n AS DOUBLE) END) AS ws
+           |  FROM unconflicted u JOIN pairs p ON u.src = p.src AND u.dst = p.dst
+           |  WHERE p.n < $k GROUP BY u.feature),
+           |total AS (SELECT sum(ws) AS t FROM sums)
+           |SELECT f.feature AS feature,
+           |       CASE WHEN total.t > 0 THEN coalesce(sums.ws, 0) / total.t
+           |            ELSE 1.0 / $k END AS w
+           |FROM (SELECT DISTINCT feature FROM m) f CROSS JOIN total
+           |LEFT JOIN sums ON sums.feature = f.feature""".stripMargin,
+        "cells" -> fs.map { case (n, m) => m.withColumn("feature", lit(n)) }.reduce(_ union _))
+    }
   }
 
   test("disabling the theta cap restores the 1/n weight for high scores") {
-    val w = AdaptiveFusion.adaptiveWeights(spark, feats, thetaCap = false)
+    val w = AdaptiveFusion.adaptiveWeights(spark, feats, theta1 = Double.PositiveInfinity)
     // mn's (0,0) now weighs 1/2: scores 1 / 0.5 / 0.5 -> 0.5 / 0.25 / 0.25
     assert(math.abs(w("ms") - 0.5) < 1e-9, w.toString)
     assert(math.abs(w("mn") - 0.25) < 1e-9, w.toString)

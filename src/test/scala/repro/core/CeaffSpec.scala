@@ -14,6 +14,23 @@ class CeaffSpec extends SparkSpec with Fixtures {
   private lazy val fsMono = Ceaff.features(spark, mono)
   private lazy val fsCross = Ceaff.features(spark, cross)
 
+  test("features and a full run release every cache once the caller unpersists") {
+    val b = BenchmarkGen
+      .generate(spark, Scenario.SrprsEnFr, nGold = 60, nFringe = 20, seed = 3).cached()
+    Seq(b.triples1, b.triples2, b.names1, b.names2, b.dict1, b.dict2, b.seeds, b.test)
+      .foreach(_.count())
+    // The session is shared with every other suite: compare, do not
+    // expect an empty set.
+    val before = spark.sparkContext.getPersistentRDDs.keySet
+    val fs = Ceaff.features(spark, b)
+    val r = Ceaff.run(spark, fs, CeaffConfig())
+    assert(r.matches.count() == b.test.count())
+    r.fused.unpersist()
+    fs.unpersistAll()
+    assert(spark.sparkContext.getPersistentRDDs.keySet == before)
+    b.unpersistAll()
+  }
+
   test("features produces three cached full matrices") {
     val n = mono.test.count()
     assert(fsMono.ms.count() == n * n)
