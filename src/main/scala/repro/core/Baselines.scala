@@ -40,22 +40,26 @@ object Baselines {
     */
   def bootstrapMatrix(spark: SparkSession, b: EaBenchmark, rounds: Int = 2,
                       dim: Int = BenchmarkGen.Dim): DataFrame = {
+    import spark.implicits._
     require(rounds >= 1, "need at least one bootstrap round")
-    var extra: Option[DataFrame] = None
-    var m = StructuralFeature.matrix(spark, b, dim = dim, extraPairs = extra)
+    var extra = Seq.empty[(Long, Long)]
+    var m = StructuralFeature.matrix(spark, b, dim = dim)
     for (_ <- 2 to rounds) {
       // Only unambiguous mutual-best pairs may become anchors: positive
       // score, and a source/target that appears in exactly one confident
       // cell (zero rows/columns on sparse KGs otherwise tie pairwise and
-      // would flood the seed set with conflicting k² pairs).
+      // would flood the seed set with conflicting k² pairs). There are
+      // about as many confident cells as source entities, so the
+      // uniqueness filter runs on the driver.
       val cand = SimilarityMatrix.confidentCells(m).filter(col("score") > 0)
-      val uniqSrc = cand.groupBy("src").count().filter(col("count") === 1).select("src")
-      val uniqDst = cand.groupBy("dst").count().filter(col("count") === 1).select("dst")
-      val confident = cand.join(uniqSrc, Seq("src")).join(uniqDst, Seq("dst"))
-        .select(col("src"), col("dst")).cache()
-      confident.count()
-      extra = Some(extra.map(_.union(confident).distinct()).getOrElse(confident))
-      m = StructuralFeature.matrix(spark, b, dim = dim, extraPairs = extra)
+        .select(col("src"), col("dst")).as[(Long, Long)].collect()
+      val perSrc = cand.groupMapReduce(_._1)(_ => 1)(_ + _)
+      val perDst = cand.groupMapReduce(_._2)(_ => 1)(_ + _)
+      extra = (extra ++ cand.filter { case (s, d) => perSrc(s) == 1 && perDst(d) == 1 }).distinct
+      val next = StructuralFeature.matrix(spark, b, dim = dim,
+        extraPairs = Some(extra.toDF("src", "dst")))
+      m.unpersist()
+      m = next
     }
     m
   }
@@ -76,22 +80,26 @@ object Baselines {
         val bn = repro.text.HashVectors.normalize(bb.toArray)
         (an ++ bn).toSeq
     }
-    def unified(triples: DataFrame, names: DataFrame, dict: DataFrame,
-                anchors: DataFrame, side: Int): DataFrame = {
-      val se = StructuralFeature.embed(spark, triples, names.select(col("id")),
-        anchors, side = side, dim = dim)
-      val ne = SemanticFeature.nameEmbeddings(spark, names, dict, dim)
-      se.withColumnRenamed("vec", "sv")
-        .join(ne.withColumnRenamed("vec", "nv"), Seq("id"))
-        .select(col("id"), concatNorm(col("sv"), col("nv")).as("vec"))
-    }
     val (a1, a2) = StructuralFeature.anchors(spark, b.seeds, dim)
-    val e1 = unified(b.triples1, b.names1, b.dict1, a1, side = 1)
-    val e2 = unified(b.triples2, b.names2, b.dict2, a2, side = 2)
-    SimilarityMatrix.cosineCross(e1, e2, SimilarityMatrix.testDomain(b.test))
+    val se1 = StructuralFeature.embed(spark, b.triples1, b.names1.select(col("id")),
+      a1, side = 1, dim = dim)
+    val se2 = StructuralFeature.embed(spark, b.triples2, b.names2.select(col("id")),
+      a2, side = 2, dim = dim)
+    def unified(se: DataFrame, names: DataFrame, dict: DataFrame): DataFrame =
+      se.withColumnRenamed("vec", "sv")
+        .join(SemanticFeature.nameEmbeddings(spark, names, dict, dim)
+          .withColumnRenamed("vec", "nv"), Seq("id"))
+        .select(col("id"), concatNorm(col("sv"), col("nv")).as("vec"))
+    val m = SimilarityMatrix.cosineCross(unified(se1, b.names1, b.dict1),
+      unified(se2, b.names2, b.dict2), SimilarityMatrix.testDomain(b.test)).cache()
+    m.count()
+    se1.unpersist(); se2.unpersist()
+    m
   }
 
-  /** Similarity matrix for a named proxy baseline. */
+  /** Similarity matrix for a named proxy baseline, cached and
+    * materialised; the caller owns that cache.
+    */
   def matrix(spark: SparkSession, b: EaBenchmark, name: String): DataFrame = name match {
     case "structShallow"   => structMatrix(spark, b, layers = 1)
     case "structStandard"  => structMatrix(spark, b, layers = 2)
@@ -103,7 +111,7 @@ object Baselines {
 
   /** Independent-decision accuracy of a named baseline. */
   def accuracy(spark: SparkSession, b: EaBenchmark, name: String): Double = {
-    val m = matrix(spark, b, name).cache()
+    val m = matrix(spark, b, name)
     val acc = Evaluation.accuracy(SimilarityMatrix.greedyMatch(m), b.test)
     m.unpersist()
     acc

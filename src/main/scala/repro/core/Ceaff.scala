@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.col
 import repro.kg.{BenchmarkGen, EaBenchmark}
-import repro.text.Levenshtein
 
 /** Which parts of CEAFF to run — each flag corresponds to one ablation
   * row of the paper's Table V.
@@ -89,22 +88,20 @@ object Ceaff {
       ml = StringFeature.matrix(spark, b).cache())
   }
 
-  /** Score the three features on an arbitrary `(src, dst)` pair domain —
-    * used by the LR baseline to build its training set over seed pairs.
+  /** Score the three features on an arbitrary pair domain — used by the
+    * LR baseline to build its training set over seed pairs. Returns the
+    * domain's rows, with whatever columns they carry, plus one score
+    * column per feature; every row keeps its multiplicity. One plan: the
+    * rows are joined only to broadcast embedding and name tables.
     */
   def scoresOn(spark: SparkSession, b: EaBenchmark, fs: FeatureSet,
                domain: DataFrame): DataFrame = {
-    val d = domain.select(col("src"), col("dst"))
-    val s = StructuralFeature.calibrate(
-        SimilarityMatrix.cosineCross(fs.structEmb1, fs.structEmb2, d))
-      .withColumnRenamed("score", Struct)
-    val n = SimilarityMatrix.cosineCross(fs.semEmb1, fs.semEmb2, d)
-      .withColumnRenamed("score", Sem)
-    val l = d
-      .join(b.names1.select(col("id").as("src"), col("name").as("n1")), Seq("src"))
-      .join(b.names2.select(col("id").as("dst"), col("name").as("n2")), Seq("dst"))
-      .select(col("src"), col("dst"), Levenshtein.ratioUdf(col("n1"), col("n2")).as(Str))
-    s.join(n, Seq("src", "dst")).join(l, Seq("src", "dst"))
+    val scored = StringFeature.withRatio(
+      SimilarityMatrix.withCosine(
+        SimilarityMatrix.withCosine(domain, fs.structEmb1, fs.structEmb2, Struct),
+        fs.semEmb1, fs.semEmb2, Sem),
+      b, Str)
+    scored.withColumn(Struct, StructuralFeature.calibrated(col(Struct)))
   }
 
   /** Fuse the configured features.

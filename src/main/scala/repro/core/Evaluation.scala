@@ -17,33 +17,39 @@ final case class RankingMetrics(hitsAt1: Double, hitsAt10: Double, mrr: Double)
 object Evaluation {
 
   /** Accuracy of a matching `(src, dst)` against gold test pairs
-    * `(src, dst)`. Unmatched sources count as wrong.
+    * `(src, dst)`: the share of gold rows whose pair is in the matching.
+    * Unmatched sources count as wrong. The matching's distinct pairs are
+    * broadcast, so one pass over the gold rows counts them and their hits.
     */
   def accuracy(matches: DataFrame, gold: DataFrame): Double = {
-    val total = gold.count()
+    val hits = broadcast(matches.select(col("src"), col("dst"), lit(true).as("hit")).distinct())
+    val r = gold.select(col("src"), col("dst"))
+      .join(hits, Seq("src", "dst"), "left")
+      .agg(count(lit(1)), count(col("hit")))
+      .first()
+    val total = r.getLong(0)
     require(total > 0, "empty gold set")
-    val correct = gold
-      .join(matches.select(col("src"), col("dst").as("got")), Seq("src"))
-      .filter(col("dst") === col("got"))
-      .count()
-    correct.toDouble / total
+    r.getLong(1).toDouble / total
   }
 
   /** Hits@1, Hits@10 and MRR of a similarity matrix w.r.t. gold pairs.
     * The rank of a gold target is its 1-based position in the source's
     * row ordered by descending score (ties by ascending target id). A
-    * gold pair absent from the matrix counts as an infinite rank.
+    * gold pair absent from the matrix counts as an infinite rank. The
+    * ranks are taken within the matrix's `src` partitions and joined to
+    * the broadcast gold pairs.
     */
   def rankingMetrics(m: DataFrame, gold: DataFrame): RankingMetrics = {
     val w = Window.partitionBy("src").orderBy(desc("score"), asc("dst"))
     val ranked = m.withColumn("rank", row_number().over(w))
     val total = gold.count()
     require(total > 0, "empty gold set")
-    val agg = gold.join(ranked, Seq("src", "dst"), "left")
+    // Gold pairs absent from the matrix add nothing to any sum.
+    val agg = ranked.join(broadcast(gold.select(col("src"), col("dst"))), Seq("src", "dst"))
       .agg(
-        sum(when(col("rank") <= 1, 1).otherwise(0)).as("h1"),
-        sum(when(col("rank") <= 10, 1).otherwise(0)).as("h10"),
-        sum(coalesce(lit(1.0) / col("rank"), lit(0.0))).as("rr"))
+        count(when(col("rank") <= 1, 1)).as("h1"),
+        count(when(col("rank") <= 10, 1)).as("h10"),
+        coalesce(sum(lit(1.0) / col("rank")), lit(0.0)).as("rr"))
       .first()
     RankingMetrics(
       hitsAt1 = agg.getLong(0).toDouble / total,

@@ -75,8 +75,7 @@ object LRFusion {
                    featureNames: Seq[String] = Seq(Ceaff.Struct, Ceaff.Sem, Ceaff.Str),
                    seed: Long = 99): Map[String, Double] = {
     val domain = trainingDomain(spark, b, seed)
-    val scored = Ceaff.scoresOn(spark, b, fs, domain.select(col("src"), col("dst")))
-      .join(domain, Seq("src", "dst"))
+    val scored = Ceaff.scoresOn(spark, b, fs, domain)
     val rows = scored.select(
         featureNames.map(col) :+ col("label"): _*)
       .collect()

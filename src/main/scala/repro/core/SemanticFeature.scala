@@ -1,12 +1,12 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.kg.EaBenchmark
+import org.apache.spark.sql.functions.col
 import repro.text.HashVectors
 
 /** Semantic feature `M^n`: averaged word embeddings of entity names
-  * (paper §IV-B), cosine similarity over the test domain.
+  * (paper §IV-B), cosine similarity over the test domain
+  * (`SimilarityMatrix.cosineCross` of the two sides' name embeddings).
   *
   * `ne(e) = (1/l) Σ w_i` over the in-dictionary tokens of `e`'s name;
   * out-of-vocabulary tokens are skipped (the paper's stated limitation of
@@ -15,33 +15,28 @@ import repro.text.HashVectors
   */
 object SemanticFeature {
 
-  /** Name embeddings `(id, vec)` for one KG side: explode tokens, join the
-    * dictionary, average per entity. Entities with no in-dictionary token
-    * are kept with a zero vector so the matrix stays dense.
+  /** Name embeddings `(id, vec)` for one KG side. The dictionary holds
+    * one vector per token, so it is broadcast as a map and each name is
+    * averaged where it lies, adding its token vectors in token order: no
+    * shuffle, and the same bits whatever the partitioning. Entities with
+    * no in-dictionary token are kept with a zero vector so the matrix
+    * stays dense. The returned plan holds the broadcast; Spark's context
+    * cleaner releases it with the plan.
     */
   def nameEmbeddings(spark: SparkSession, names: DataFrame, dict: DataFrame,
                      dim: Int): DataFrame = {
     import spark.implicits._
-    val avg = names
-      .select(col("id"), explode(col("tokens")).as("token"))
-      .join(dict, Seq("token")) // inner join drops OOV tokens
-      .as[(String, Long, Seq[Double])]
-      .map { case (_, id, vec) => (id, vec.toArray) }
-      .rdd
-      .mapValues(v => (v, 1L))
-      .reduceByKey((x, y) => (HashVectors.add(x._1, y._1), x._2 + y._2))
-      .map { case (id, (sum, c)) => (id, HashVectors.scale(sum, 1.0 / c).toSeq) }
+    val vectors = spark.sparkContext.broadcast(
+      dict.select(col("token"), col("vec")).as[(String, Seq[Double])].collect()
+        .map { case (t, v) => t -> v.toArray }.toMap)
+    names.select(col("id"), col("tokens")).as[(Long, Seq[String])]
+      .map { case (id, tokens) =>
+        val found = tokens.flatMap(vectors.value.get) // OOV tokens drop out
+        val avg =
+          if (found.isEmpty) new Array[Double](dim)
+          else HashVectors.scale(found.reduceLeft(HashVectors.add), 1.0 / found.size)
+        (id, avg.toSeq)
+      }
       .toDF("id", "vec")
-    val zero = Seq.fill(dim)(0.0)
-    names.select(col("id"))
-      .join(avg, Seq("id"), "left")
-      .select(col("id"), coalesce(col("vec"), typedLit(zero)).as("vec"))
-  }
-
-  /** Full `M^n` for a benchmark. */
-  def matrix(spark: SparkSession, b: EaBenchmark, dim: Int): DataFrame = {
-    val e1 = nameEmbeddings(spark, b.names1, b.dict1, dim)
-    val e2 = nameEmbeddings(spark, b.names2, b.dict2, dim)
-    SimilarityMatrix.cosineCross(e1, e2, SimilarityMatrix.testDomain(b.test))
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.text.HashVectors
@@ -12,33 +12,50 @@ import repro.text.HashVectors
   * `M^s`, `M^n`, `M^l` and their fusions. Rows are source entities,
   * columns target entities; training (seed) entities are excluded, as in
   * the paper (§VII).
+  *
+  * Every matrix built on [[testDomain]] is hash-partitioned by `src`: its
+  * cells are joined only to broadcast entity tables, which keep that
+  * partitioning. Row-wise steps (weighted sums, row argmax, ranks, row
+  * maxima) then run without moving cells.
   */
 object SimilarityMatrix {
 
-  /** Cosine-similarity matrix between two embedding tables `(id, vec)`
-    * over the given `domain` `(src, dst)` universe (typically
-    * testSrc × testDst). Pairs whose either side lacks an embedding (or
-    * has a zero vector) score 0.
-    */
-  def cosineCross(emb1: DataFrame, emb2: DataFrame, domain: DataFrame): DataFrame = {
-    val cos = udf { (a: Seq[Double], b: Seq[Double]) =>
-      if (a == null || b == null) 0.0
-      else HashVectors.cosine(a.toArray, b.toArray)
-    }
-    domain.select(col("src"), col("dst"))
-      .join(emb1.select(col("id").as("src"), col("vec").as("v1")), Seq("src"), "left")
-      .join(emb2.select(col("id").as("dst"), col("vec").as("v2")), Seq("dst"), "left")
-      .select(col("src"), col("dst"), cos(col("v1"), col("v2")).as("score"))
+  private val cos = udf { (a: Seq[Double], b: Seq[Double]) =>
+    if (a == null || b == null) 0.0
+    else HashVectors.cosine(a.toArray, b.toArray)
   }
 
-  /** The full test domain: cross join of test source ids × test target
-    * ids (paper: the matrix spans all test entities on both axes).
-    * Each side is coalesced first — a k×k-partition cartesian product of
-    * two small id lists would otherwise explode into k² near-empty tasks.
+  /** Add to `cells` (which has `src` and `dst`) a column `name` with the
+    * cosine of the two embeddings `(id, vec)`. Both tables are broadcast,
+    * so the cells keep their partitioning; a side that lacks an embedding
+    * (or has a zero vector) scores 0.
+    */
+  def withCosine(cells: DataFrame, emb1: DataFrame, emb2: DataFrame, name: String): DataFrame = {
+    val (v1, v2) = (s"${name}_v1", s"${name}_v2")
+    cells
+      .join(broadcast(emb1.select(col("id").as("src"), col("vec").as(v1))), Seq("src"), "left")
+      .join(broadcast(emb2.select(col("id").as("dst"), col("vec").as(v2))), Seq("dst"), "left")
+      .withColumn(name, cos(col(v1), col(v2)))
+      .drop(v1, v2)
+  }
+
+  /** Cosine-similarity matrix between two embedding tables `(id, vec)`
+    * over the given `domain` `(src, dst)` universe (typically
+    * [[testDomain]]). Pairs whose either side lacks an embedding (or
+    * has a zero vector) score 0.
+    */
+  def cosineCross(emb1: DataFrame, emb2: DataFrame, domain: DataFrame): DataFrame =
+    withCosine(domain.select(col("src"), col("dst")), emb1, emb2, "score")
+      .select(col("src"), col("dst"), col("score"))
+
+  /** The full test domain: test source ids × test target ids (paper: the
+    * matrix spans all test entities on both axes). The source ids are
+    * hash-partitioned by `src` once and the target ids are broadcast, so
+    * every matrix built on this domain shares that partitioning.
     */
   def testDomain(test: DataFrame): DataFrame =
-    test.select(col("src")).coalesce(2)
-      .crossJoin(test.select(col("dst")).coalesce(2))
+    test.select(col("src")).repartition(col("src"))
+      .crossJoin(broadcast(test.select(col("dst"))))
 
   /** Independent (non-collective) decision rule: per source entity take
     * the highest-scoring target; ties broken towards the smallest target
@@ -53,14 +70,17 @@ object SimilarityMatrix {
 
   /** Cells that are the maximum of both their row and their column — the
     * paper's *confident correspondences* for one feature (§V). Ties keep
-    * every maximal cell; downstream conflict filtering handles them.
+    * every maximal cell; downstream conflict filtering handles them. The
+    * row maximum is taken first, within the `src` partitions; only the
+    * column maximum moves cells.
     */
-  def confidentCells(m: DataFrame): DataFrame =
-    m.select(col("src"), col("dst"), col("score"),
-        max("score").over(Window.partitionBy("src")).as("rmax"),
-        max("score").over(Window.partitionBy("dst")).as("cmax"))
+  def confidentCells(m: DataFrame): DataFrame = {
+    def maxOver(key: String): Column = max("score").over(Window.partitionBy(key))
+    m.select(col("src"), col("dst"), col("score"), maxOver("src").as("rmax"))
+      .withColumn("cmax", maxOver("dst"))
       .filter(col("score") === col("rmax") && col("score") === col("cmax"))
       .select(col("src"), col("dst"), col("score"))
+  }
 
   /** Weighted sum `Σ wᵢ·Mᵢ` of matrices over a shared domain. Missing
     * cells contribute 0, so the result is the union of the inputs'

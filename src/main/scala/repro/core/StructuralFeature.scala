@@ -1,10 +1,13 @@
 package repro.core
 
+import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.kg.{BenchmarkGen, EaBenchmark}
+import repro.kg.{BenchmarkGen, EaBenchmark, NameModel}
 import repro.text.HashVectors
+import scala.collection.mutable
+import scala.reflect.ClassTag
 
 /** Structural feature `M^s`: seed-anchored GCN propagation.
   *
@@ -20,8 +23,9 @@ import repro.text.HashVectors
   * the same fixed point the margin loss optimises for, deterministically
   * and with no cross-KG initialisation noise (DESIGN.md §2).
   *
-  * Implemented as an iterative RDD algorithm: one `join` + `reduceByKey`
-  * per propagation round.
+  * Implemented as an iterative RDD algorithm over embeddings and edges
+  * partitioned alike: one shuffle (the messages' `reduceByKey`) per
+  * propagation round.
   */
 object StructuralFeature {
 
@@ -45,34 +49,33 @@ object StructuralFeature {
     */
   val JitterAmp = 1e-4
 
-  /** Calibrate a raw structural cosine matrix: rescale below θ1 and break
-    * exact ties deterministically in (src, dst).
-    */
-  def calibrate(m: DataFrame): DataFrame = {
-    val jitter = org.apache.spark.sql.functions.udf { (s: Long, d: Long) =>
-      repro.kg.NameModel.frac(s"jitter:$s:$d")
-    }
-    m.select(col("src"), col("dst"),
-      (col("score") * CosineScale + jitter(col("src"), col("dst")) * JitterAmp)
-        .as("score"))
-  }
+  private val jitter = udf { (s: Long, d: Long) => NameModel.frac(s"jitter:$s:$d") }
 
-  /** Symmetric-normalised undirected adjacency with self-loops:
-    * `(i, j, w)` rows with `w = 1/sqrt(d_i · d_j)`, `d = degree + 1`.
+  /** A raw structural cosine column of a matrix with `src` and `dst`,
+    * calibrated: rescaled below θ1, exact ties broken deterministically in
+    * (src, dst).
     */
-  private def normalizedEdges(triples: DataFrame, universe: DataFrame): DataFrame = {
-    val und = triples.select(col("src").as("i"), col("dst").as("j"))
-      .union(triples.select(col("dst").as("i"), col("src").as("j")))
-      .union(universe.select(col("id").as("i"), col("id").as("j"))) // self-loops
-      .distinct()
-    val deg = und.groupBy("i").agg(count(lit(1)).as("d"))
-    und.join(deg, Seq("i"))
-      .join(deg.select(col("i").as("j"), col("d").as("dj")), Seq("j"))
-      .select(col("i"), col("j"),
-        (lit(1.0) / sqrt(col("d") * col("dj"))).as("w"))
-  }
+  def calibrated(score: Column): Column =
+    score * CosineScale + jitter(col("src"), col("dst")) * JitterAmp
+
+  /** Calibrate a raw structural cosine matrix (see [[calibrated]]). */
+  def calibrate(m: DataFrame): DataFrame =
+    m.select(col("src"), col("dst"), calibrated(col("score")).as("score"))
+
+  /** `f` applied to every entry, keeping the RDD's partitioner. */
+  private def mapWithKey[V, W: ClassTag](rdd: RDD[(Long, V)])(f: (Long, V) => W)
+      : RDD[(Long, W)] =
+    rdd.mapPartitions(_.map { case (k, v) => k -> f(k, v) }, preservesPartitioning = true)
 
   /** Propagate `layers` rounds from anchored initial vectors.
+    *
+    * The symmetric-normalised adjacency with self-loops,
+    * `w(i, j) = 1/sqrt(d_i · d_j)` with `d = degree + 1`, is built once,
+    * keyed by the message source and hash-partitioned like the
+    * embeddings, so joining it to a round's embeddings moves nothing: each
+    * round shuffles only its messages. Anchors are clamped from a
+    * broadcast map, and the whole propagation runs as one Spark job when
+    * the result is materialised.
     *
     * @param triples  one KG's triples `(src, rel, dst)`
     * @param universe all entity ids of this KG `(id)` — includes isolated
@@ -82,11 +85,9 @@ object StructuralFeature {
     *                 every round
     * @param side     1 or 2 (kept for symmetry in call sites and logs)
     * @param initOverride optional `(id, vec)` initial vectors for
-    *                 non-anchored entities — the representation-level
-    *                 fusion baseline seeds propagation with name
-    *                 embeddings here; entities absent from the override
-    *                 (or with an all-zero vector) fall back to the
-    *                 default zero init
+    *                 non-anchored entities — entities absent from the
+    *                 override (or with an all-zero vector) fall back to
+    *                 the default zero init
     * @return `(id, vec)` L2-normalised structural embeddings; entities
     *         that no anchor reaches within `layers` hops stay at the
     *         zero vector (cosine 0 to everything — no signal, no noise).
@@ -98,62 +99,65 @@ object StructuralFeature {
             dim: Int = BenchmarkGen.Dim, layers: Int = DefaultLayers,
             initOverride: Option[DataFrame] = None): DataFrame = {
     import spark.implicits._
+    val sc = spark.sparkContext
+    val byId = new HashPartitioner(sc.defaultParallelism)
+    val anchored = sc.broadcast(
+      anchors.select(col("id"), col("vec")).as[(Long, Seq[Double])].collect()
+        .map { case (id, v) => id -> v.toArray }.toMap)
+    val ids = universe.select(col("id")).as[Long].rdd
 
-    val anchorRdd: RDD[(Long, Array[Double])] =
-      anchors.select(col("id"), col("vec")).as[(Long, Seq[Double])].rdd
-        .mapValues(_.toArray)
-        // Defensive: one anchor per entity — duplicate ids would multiply
-        // rows through every join below.
-        .reduceByKey((a, _) => a)
-    val overrideRdd: RDD[(Long, Array[Double])] = initOverride match {
+    val overrides: RDD[(Long, Array[Double])] = initOverride match {
       case Some(df) =>
         df.select(col("id"), col("vec")).as[(Long, Seq[Double])].rdd
           .mapValues(_.toArray).filter(kv => kv._2.exists(_ != 0.0))
-      case None => spark.sparkContext.emptyRDD
+      case None => sc.emptyRDD
     }
     // Non-anchored entities start at zero: embeddings are then pure
     // mixtures of anchor directions, with no cross-KG random noise —
     // the label-propagation analogue of the paper's trained alignment.
-    val init: RDD[(Long, Array[Double])] =
-      universe.select(col("id")).as[Long].rdd
-        .map(id => id -> new Array[Double](dim))
-        .leftOuterJoin(overrideRdd)
-        .mapValues { case (zero, ov) => ov.map(HashVectors.normalize).getOrElse(zero) }
-        .leftOuterJoin(anchorRdd)
-        .mapValues { case (base, anch) => anch.getOrElse(base) }
+    val init = mapWithKey(ids.map(id => id -> new Array[Double](dim))
+        .leftOuterJoin(overrides, byId)) { case (id, (zero, ov)) =>
+      anchored.value.getOrElse(id, ov.map(HashVectors.normalize).getOrElse(zero))
+    }
 
-    // Edges keyed by message source node; messages flow i -> j.
-    val edges: RDD[(Long, (Long, Double))] =
-      normalizedEdges(triples, universe).as[(Long, Long, Double)].rdd
-        .map { case (i, j, w) => (i, (j, w)) }
-        .cache()
+    // Distinct undirected neighbours, self-loops included; each node then
+    // tells its neighbours its degree. Messages flow i -> j.
+    val neighbours: RDD[(Long, Array[Long])] =
+      triples.select(col("src"), col("dst")).as[(Long, Long)].rdd
+        .flatMap { case (s, d) => Iterator(s -> d, d -> s) }
+        .union(ids.map(id => id -> id))
+        .groupByKey(byId)
+        .mapValues(_.toArray.distinct.sorted)
+    val edges: RDD[(Long, Array[(Long, Double)])] = neighbours
+      .flatMap { case (i, ns) => ns.iterator.map(j => j -> (i, ns.length.toLong)) }
+      .groupByKey(byId)
+      .mapValues { in =>
+        val d = in.size.toLong
+        in.toArray.sortBy(_._1).map { case (j, dj) => (j, 1.0 / math.sqrt((d * dj).toDouble)) }
+      }
+      .cache()
 
     def propagate(emb: RDD[(Long, Array[Double])]): RDD[(Long, Array[Double])] = {
-      val propagated = edges.join(emb)
-        .map { case (_, ((j, w), v)) => (j, HashVectors.scale(v, w)) }
-        .reduceByKey(HashVectors.add)
-        .mapValues(HashVectors.normalize)
+      val received = edges.join(emb)
+        .flatMap { case (_, (out, v)) => out.iterator.map { case (j, w) => j -> HashVectors.scale(v, w) } }
+        .reduceByKey(byId, HashVectors.add(_, _))
       // Isolated entities receive no messages; keep their current vector.
-      emb.leftOuterJoin(propagated)
-        .mapValues { case (old, p) => p.getOrElse(old) }
-        .leftOuterJoin(anchorRdd) // re-clamp anchors
-        .mapValues { case (v, anch) => anch.getOrElse(v) }
+      mapWithKey(emb.leftOuterJoin(received)) { case (id, (old, p)) =>
+        anchored.value.getOrElse(id, p.map(HashVectors.normalize).getOrElse(old))
+      }
     }
 
-    // Each round is materialised before the previous one is released; the
-    // last round goes straight into the returned cache.
-    var emb = init.cache()
-    for (_ <- 2 to layers) {
-      val next = propagate(emb).cache()
-      next.count()
-      emb.unpersist()
-      emb = next
-    }
-    val last = if (layers >= 1) propagate(emb) else emb
+    // Every round but the last is read twice (messages and carry-over),
+    // so it is cached; the last goes straight into the returned cache.
+    val rounds = mutable.Buffer(init.cache())
+    for (_ <- 2 to layers) rounds += propagate(rounds.last).cache()
+    val last = if (layers >= 1) propagate(rounds.last) else rounds.last
     val out = last.map { case (id, v) => (id, v.toSeq) }.toDF("id", "vec").cache()
     out.count()
-    emb.unpersist()
-    edges.unpersist()
+    (edges +: rounds).foreach(_.unpersist())
+    // The cached result's lineage still refers to the anchors: unpersist
+    // (the driver keeps the value), never destroy.
+    anchored.unpersist()
     out
   }
 
@@ -171,7 +175,9 @@ object StructuralFeature {
   }
 
   /** Full `M^s` for a benchmark: embed both KGs with seed anchoring and
-    * take cosine similarity over the test domain.
+    * take cosine similarity over the test domain. The matrix is returned
+    * cached and materialised, and the caller owns that cache; the
+    * embeddings it was computed from are released.
     *
     * @param extraPairs optional additional anchored pairs (bootstrapping
     *                   baselines append confident matches here)
@@ -188,6 +194,10 @@ object StructuralFeature {
     val u2 = b.names2.select(col("id"))
     val e1 = embed(spark, b.triples1, u1, a1, side = 1, dim = dim, layers = layers)
     val e2 = embed(spark, b.triples2, u2, a2, side = 2, dim = dim, layers = layers)
-    calibrate(SimilarityMatrix.cosineCross(e1, e2, SimilarityMatrix.testDomain(b.test)))
+    val m = calibrate(SimilarityMatrix.cosineCross(e1, e2, SimilarityMatrix.testDomain(b.test)))
+      .cache()
+    m.count()
+    e1.unpersist(); e2.unpersist()
+    m
   }
 }

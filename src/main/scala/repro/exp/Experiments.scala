@@ -188,7 +188,7 @@ object Experiments {
     Seq(Scenario.Dbp15kZhEn, Scenario.Dbp15kJaEn, Scenario.Dbp15kFrEn).flatMap { sc =>
       val b = benchmark(spark, sc, scale)
       val baseRows = Baselines.names.map { name =>
-        val m = Baselines.matrix(spark, b, name).cache()
+        val m = Baselines.matrix(spark, b, name)
         val r = Evaluation.rankingMetrics(m, b.test)
         m.unpersist()
         RankRow(name, sc.name, r.hitsAt1, Some(r.hitsAt10), Some(r.mrr))

@@ -8,9 +8,10 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * limit). Automatic broadcast joins are disabled
+  * (`autoBroadcastJoinThreshold = -1`), so a join broadcasts only where
+  * the code asks for it: explicit `broadcast()` hints are still honoured,
+  * and that is how similarity-matrix cells are joined to entity tables.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

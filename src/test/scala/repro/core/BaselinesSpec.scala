@@ -13,7 +13,23 @@ class BaselinesSpec extends SparkSpec with Fixtures {
     Baselines.names.foreach { name =>
       val m = Baselines.matrix(spark, dense, name)
       assert(m.count() == n * n, s"$name matrix incomplete")
+      m.unpersist()
     }
+  }
+
+  test("every baseline releases the caches it makes") {
+    val b = BenchmarkGen
+      .generate(spark, Scenario.Dbp15kFrEn, nGold = 60, nFringe = 20, seed = 3).cached()
+    Seq(b.triples1, b.triples2, b.names1, b.names2, b.dict1, b.dict2, b.seeds, b.test)
+      .foreach(_.count())
+    // The session is shared with every other suite: compare, do not
+    // expect an empty set.
+    val before = spark.sparkContext.getPersistentRDDs.keySet
+    Baselines.names.foreach { name =>
+      Baselines.accuracy(spark, b, name)
+      assert(spark.sparkContext.getPersistentRDDs.keySet == before, s"$name leaked")
+    }
+    b.unpersistAll()
   }
 
   test("unknown baseline name is rejected") {

@@ -1,5 +1,10 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.SparkPlan
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.functions._
 import repro.kg.{BenchmarkGen, Scenario}
 import repro.{Fixtures, SparkSpec}
@@ -29,6 +34,34 @@ class CeaffSpec extends SparkSpec with Fixtures {
     fs.unpersistAll()
     assert(spark.sparkContext.getPersistentRDDs.keySet == before)
     b.unpersistAll()
+  }
+
+  private object Plans extends AdaptiveSparkPlanHelper
+
+  /** The cache a cached DataFrame reads. */
+  private def cacheOf(df: DataFrame): AnyRef =
+    Plans.collectFirst(df.queryExecution.executedPlan) {
+      case t: InMemoryTableScanExec => t.relation.cacheBuilder
+    }.get
+
+  /** The shuffles of an executed plan, looking through every cache it
+    * reads except `stop`.
+    */
+  private def shuffles(plan: SparkPlan, stop: Seq[AnyRef]): Seq[ShuffleExchangeExec] =
+    Plans.flatMap(plan) {
+      case s: ShuffleExchangeExec => Seq(s)
+      case t: InMemoryTableScanExec if !stop.exists(_ eq t.relation.cacheBuilder) =>
+        shuffles(t.relation.cachedPlan, stop)
+      case _ => Nil
+    }
+
+  test("an independent run shuffles no cell above the feature caches") {
+    val r = Ceaff.run(spark, fsCross, CeaffConfig(collective = false, adaptive = false))
+    r.matches.collect() // finalises the adaptive plan
+    val found = shuffles(r.matches.queryExecution.executedPlan,
+      Seq(fsCross.ms, fsCross.mn, fsCross.ml).map(cacheOf))
+    assert(found.isEmpty, found.mkString("\n"))
+    r.fused.unpersist()
   }
 
   test("features produces three cached full matrices") {

@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.{Fixtures, Oracle, SparkSpec}
-import org.apache.spark.sql.functions._
 
 class EvaluationSpec extends SparkSpec with Fixtures {
   import spark.implicits._
@@ -27,13 +26,11 @@ class EvaluationSpec extends SparkSpec with Fixtures {
   }
 
   test("oracle: accuracy numerator agrees with DuckDB") {
-    val matches = Seq((0L, 0L), (1L, 2L), (2L, 2L), (3L, 1L)).toDF("src", "dst")
-    val sparkCorrect = gold
-      .join(matches.select(col("src"), col("dst").as("got")), Seq("src"))
-      .filter(col("dst") === col("got"))
-      .agg(count(lit(1)).as("n_correct"))
-    Oracle.assertEquivalent(sparkCorrect,
-      """SELECT count(*) AS n_correct
+    // Gold source 3 is unmatched; source 1 has two targets, one of them
+    // right. The denominator stays the number of gold rows.
+    val matches = Seq((0L, 0L), (1L, 2L), (1L, 1L), (2L, 3L)).toDF("src", "dst")
+    Oracle.assertEquivalent(Seq(Evaluation.accuracy(matches, gold)).toDF("acc"),
+      """SELECT CAST(count(*) AS DOUBLE) / (SELECT count(*) FROM gold) AS acc
         |FROM gold g JOIN m ON g.src = m.src AND g.dst = m.dst""".stripMargin,
       "gold" -> gold, "m" -> matches)
   }

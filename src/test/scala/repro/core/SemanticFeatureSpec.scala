@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.kg.{BenchmarkGen, Scenario}
+import repro.kg.{BenchmarkGen, EaBenchmark, Scenario}
 import repro.{Fixtures, SparkSpec}
 
 class SemanticFeatureSpec extends SparkSpec with Fixtures {
@@ -11,6 +11,12 @@ class SemanticFeatureSpec extends SparkSpec with Fixtures {
     .generate(spark, Scenario.SrprsWd, nGold = 150, nFringe = 50, seed = 7).cached()
   private lazy val zh = BenchmarkGen
     .generate(spark, Scenario.Dbp15kZhEn, nGold = 150, nFringe = 50, seed = 7).cached()
+
+  /** `M^n` over the test domain, as `Ceaff.features` builds it. */
+  private def semMatrix(b: EaBenchmark) = SimilarityMatrix.cosineCross(
+    SemanticFeature.nameEmbeddings(spark, b.names1, b.dict1, BenchmarkGen.Dim),
+    SemanticFeature.nameEmbeddings(spark, b.names2, b.dict2, BenchmarkGen.Dim),
+    SimilarityMatrix.testDomain(b.test))
 
   test("nameEmbeddings covers every named entity") {
     val e = SemanticFeature.nameEmbeddings(spark, mono.names1, mono.dict1, BenchmarkGen.Dim)
@@ -37,13 +43,13 @@ class SemanticFeatureSpec extends SparkSpec with Fixtures {
   }
 
   test("semantic matrix spans the test domain") {
-    val m = SemanticFeature.matrix(spark, mono, BenchmarkGen.Dim)
+    val m = semMatrix(mono)
     val n = mono.test.count()
     assert(m.count() == n * n)
   }
 
   test("gold pairs are semantically closer than mismatches (mono-lingual)") {
-    val m = SemanticFeature.matrix(spark, mono, BenchmarkGen.Dim).cache()
+    val m = semMatrix(mono).cache()
     val diag = m.filter(col("src") === col("dst")).agg(avg("score")).first().getDouble(0)
     val off = m.filter(col("src") =!= col("dst")).agg(avg("score")).first().getDouble(0)
     assert(diag > off + 0.3, s"diag=$diag off=$off")
@@ -51,8 +57,8 @@ class SemanticFeatureSpec extends SparkSpec with Fixtures {
   }
 
   test("semantic signal survives the language barrier but degrades (ZH-EN vs mono)") {
-    val mm = SemanticFeature.matrix(spark, mono, BenchmarkGen.Dim).cache()
-    val mz = SemanticFeature.matrix(spark, zh, BenchmarkGen.Dim).cache()
+    val mm = semMatrix(mono).cache()
+    val mz = semMatrix(zh).cache()
     val accMono = Evaluation.accuracy(SimilarityMatrix.greedyMatch(mm), mono.test)
     val accZh = Evaluation.accuracy(SimilarityMatrix.greedyMatch(mz), zh.test)
     assert(accZh > 0.15, s"ZH-EN semantic accuracy $accZh — no cross-lingual signal")
@@ -62,7 +68,7 @@ class SemanticFeatureSpec extends SparkSpec with Fixtures {
 
   test("semantic accuracy beats string accuracy on distant languages") {
     val sem = Evaluation.accuracy(
-      SimilarityMatrix.greedyMatch(SemanticFeature.matrix(spark, zh, BenchmarkGen.Dim)), zh.test)
+      SimilarityMatrix.greedyMatch(semMatrix(zh)), zh.test)
     val str = Evaluation.accuracy(
       SimilarityMatrix.greedyMatch(StringFeature.matrix(spark, zh)), zh.test)
     assert(sem > str, s"sem=$sem str=$str — paper's ZH-EN feature ordering violated")

@@ -9,7 +9,7 @@ class StructuralFeatureSpec extends SparkSpec with Fixtures {
 
   private lazy val b = BenchmarkGen
     .generate(spark, Scenario.Dbp100kWd, nGold = 150, nFringe = 50, seed = 7).cached()
-  private lazy val ms = StructuralFeature.matrix(spark, b).cache()
+  private lazy val ms = StructuralFeature.matrix(spark, b)
 
   test("embeddings cover every entity; norms are 1 (reached) or 0 (unreached)") {
     val (a1, _) = StructuralFeature.anchors(spark, b.seeds)
@@ -72,6 +72,7 @@ class StructuralFeatureSpec extends SparkSpec with Fixtures {
     assert(a.zip(c2).forall { case ((s1, d1, v1), (s2, d2, v2)) =>
       s1 == s2 && d1 == d2 && math.abs(v1 - v2) < 1e-12
     })
+    again.unpersist()
   }
 
   test("more seeds (extraPairs) improve or maintain the structural signal") {
@@ -83,6 +84,7 @@ class StructuralFeatureSpec extends SparkSpec with Fixtures {
     val base = Evaluation.accuracy(SimilarityMatrix.greedyMatch(ms), remaining)
     val more = Evaluation.accuracy(SimilarityMatrix.greedyMatch(boosted), remaining)
     assert(more >= base - 0.05, s"extra anchors degraded accuracy: $base -> $more")
+    boosted.unpersist()
   }
 
   test("sparse KGs carry weaker structural signal than dense ones") {
@@ -93,6 +95,7 @@ class StructuralFeatureSpec extends SparkSpec with Fixtures {
     val accSparse = Evaluation.accuracy(SimilarityMatrix.greedyMatch(msSparse), sparse.test)
     assert(accSparse < accDense + 0.05,
       s"sparse=$accSparse dense=$accDense — paper's density ordering violated")
+    msSparse.unpersist()
     sparse.unpersistAll()
   }
 
