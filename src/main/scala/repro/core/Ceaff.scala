@@ -36,8 +36,10 @@ final case class CeaffConfig(
 }
 
 /** The three feature similarity matrices over the test domain, plus the
-  * underlying embedding tables (kept so baselines and the LR trainer can
-  * score arbitrary pair domains without recomputing embeddings).
+  * underlying embedding tables (kept so the baselines and the LR trainer
+  * reuse them instead of recomputing embeddings). The caller of
+  * [[Ceaff.features]] owns every cache here and releases them with
+  * [[unpersistAll]].
   */
 final case class FeatureSet(
     structEmb1: DataFrame, structEmb2: DataFrame,
@@ -69,16 +71,12 @@ object Ceaff {
   val Textual = "textual"
 
   /** Compute (and cache) all three features for a benchmark. */
-  def features(spark: SparkSession, b: EaBenchmark,
-               dim: Int = BenchmarkGen.Dim,
-               layers: Int = StructuralFeature.DefaultLayers): FeatureSet = {
-    val (a1, a2) = StructuralFeature.anchors(spark, b.seeds, dim)
-    val se1 = StructuralFeature.embed(spark, b.triples1, b.names1.select(col("id")),
-      a1, side = 1, dim = dim, layers = layers)
-    val se2 = StructuralFeature.embed(spark, b.triples2, b.names2.select(col("id")),
-      a2, side = 2, dim = dim, layers = layers)
-    val ne1 = SemanticFeature.nameEmbeddings(spark, b.names1, b.dict1, dim).cache()
-    val ne2 = SemanticFeature.nameEmbeddings(spark, b.names2, b.dict2, dim).cache()
+  def features(spark: SparkSession, b: EaBenchmark): FeatureSet = {
+    val (a1, a2) = StructuralFeature.anchors(spark, b.seeds)
+    val se1 = StructuralFeature.embed(spark, b.triples1, b.names1.select(col("id")), a1, side = 1)
+    val se2 = StructuralFeature.embed(spark, b.triples2, b.names2.select(col("id")), a2, side = 2)
+    val ne1 = SemanticFeature.nameEmbeddings(spark, b.names1, b.dict1, BenchmarkGen.Dim).cache()
+    val ne2 = SemanticFeature.nameEmbeddings(spark, b.names2, b.dict2, BenchmarkGen.Dim).cache()
     val domain = SimilarityMatrix.testDomain(b.test)
     FeatureSet(
       structEmb1 = se1, structEmb2 = se2, semEmb1 = ne1, semEmb2 = ne2,

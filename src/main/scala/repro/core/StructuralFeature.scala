@@ -24,7 +24,7 @@ import scala.reflect.ClassTag
   * and with no cross-KG initialisation noise (DESIGN.md §2).
   *
   * Implemented as an iterative RDD algorithm over embeddings and edges
-  * partitioned alike: one shuffle (the messages' `reduceByKey`) per
+  * partitioned alike: one shuffle (the messages' `groupByKey`) per
   * propagation round.
   */
 object StructuralFeature {
@@ -84,10 +84,6 @@ object StructuralFeature {
     *                 any bootstrapped pairs); vectors are re-imposed after
     *                 every round
     * @param side     1 or 2 (kept for symmetry in call sites and logs)
-    * @param initOverride optional `(id, vec)` initial vectors for
-    *                 non-anchored entities — entities absent from the
-    *                 override (or with an all-zero vector) fall back to
-    *                 the default zero init
     * @return `(id, vec)` L2-normalised structural embeddings; entities
     *         that no anchor reaches within `layers` hops stay at the
     *         zero vector (cosine 0 to everything — no signal, no noise).
@@ -96,8 +92,7 @@ object StructuralFeature {
     */
   def embed(spark: SparkSession, triples: DataFrame, universe: DataFrame,
             anchors: DataFrame, side: Int,
-            dim: Int = BenchmarkGen.Dim, layers: Int = DefaultLayers,
-            initOverride: Option[DataFrame] = None): DataFrame = {
+            dim: Int = BenchmarkGen.Dim, layers: Int = DefaultLayers): DataFrame = {
     import spark.implicits._
     val sc = spark.sparkContext
     val byId = new HashPartitioner(sc.defaultParallelism)
@@ -106,19 +101,12 @@ object StructuralFeature {
         .map { case (id, v) => id -> v.toArray }.toMap)
     val ids = universe.select(col("id")).as[Long].rdd
 
-    val overrides: RDD[(Long, Array[Double])] = initOverride match {
-      case Some(df) =>
-        df.select(col("id"), col("vec")).as[(Long, Seq[Double])].rdd
-          .mapValues(_.toArray).filter(kv => kv._2.exists(_ != 0.0))
-      case None => sc.emptyRDD
-    }
     // Non-anchored entities start at zero: embeddings are then pure
     // mixtures of anchor directions, with no cross-KG random noise —
     // the label-propagation analogue of the paper's trained alignment.
-    val init = mapWithKey(ids.map(id => id -> new Array[Double](dim))
-        .leftOuterJoin(overrides, byId)) { case (id, (zero, ov)) =>
-      anchored.value.getOrElse(id, ov.map(HashVectors.normalize).getOrElse(zero))
-    }
+    // Partitioned like the edges, so round 1's join moves no edge.
+    val init = ids.map(id => id -> anchored.value.getOrElse(id, new Array[Double](dim)))
+      .partitionBy(byId)
 
     // Distinct undirected neighbours, self-loops included; each node then
     // tells its neighbours its degree. Messages flow i -> j.
@@ -137,10 +125,13 @@ object StructuralFeature {
       }
       .cache()
 
+    // Each target adds its messages in sender order, so the sums have the
+    // same bits whatever the partitioning and the shuffle's fetch order.
     def propagate(emb: RDD[(Long, Array[Double])]): RDD[(Long, Array[Double])] = {
       val received = edges.join(emb)
-        .flatMap { case (_, (out, v)) => out.iterator.map { case (j, w) => j -> HashVectors.scale(v, w) } }
-        .reduceByKey(byId, HashVectors.add(_, _))
+        .flatMap { case (i, (out, v)) => out.iterator.map { case (j, w) => j -> (i, HashVectors.scale(v, w)) } }
+        .groupByKey(byId)
+        .mapValues(_.toArray.sortBy(_._1).map(_._2).reduceLeft(HashVectors.add))
       // Isolated entities receive no messages; keep their current vector.
       mapWithKey(emb.leftOuterJoin(received)) { case (id, (old, p)) =>
         anchored.value.getOrElse(id, p.map(HashVectors.normalize).getOrElse(old))
@@ -182,18 +173,15 @@ object StructuralFeature {
     * @param extraPairs optional additional anchored pairs (bootstrapping
     *                   baselines append confident matches here)
     */
-  def matrix(spark: SparkSession, b: EaBenchmark,
-             dim: Int = BenchmarkGen.Dim, layers: Int = DefaultLayers,
+  def matrix(spark: SparkSession, b: EaBenchmark, layers: Int = DefaultLayers,
              extraPairs: Option[DataFrame] = None): DataFrame = {
     val pairs = extraPairs match {
       case Some(p) => b.seeds.union(p.select(col("src"), col("dst"))).distinct()
       case None    => b.seeds
     }
-    val (a1, a2) = anchors(spark, pairs, dim)
-    val u1 = b.names1.select(col("id"))
-    val u2 = b.names2.select(col("id"))
-    val e1 = embed(spark, b.triples1, u1, a1, side = 1, dim = dim, layers = layers)
-    val e2 = embed(spark, b.triples2, u2, a2, side = 2, dim = dim, layers = layers)
+    val (a1, a2) = anchors(spark, pairs)
+    val e1 = embed(spark, b.triples1, b.names1.select(col("id")), a1, side = 1, layers = layers)
+    val e2 = embed(spark, b.triples2, b.names2.select(col("id")), a2, side = 2, layers = layers)
     val m = calibrate(SimilarityMatrix.cosineCross(e1, e2, SimilarityMatrix.testDomain(b.test)))
       .cache()
     m.count()

@@ -75,31 +75,27 @@ object Experiments {
   val accuracyMethods: Seq[String] =
     Baselines.names ++ Seq("ceaffNoStr", "ceaff")
 
-  /** All method accuracies on one benchmark. `ceaffNoStr` is the paper's
-    * "CEAFF w/o M^l" row (semantic+structural only).
+  /** All method accuracies on one benchmark, every method scored on one
+    * feature set. `ceaffNoStr` is the paper's "CEAFF w/o M^l" row
+    * (semantic+structural only).
     */
-  def accuracies(spark: SparkSession, b: EaBenchmark,
-                 methods: Seq[String] = accuracyMethods): Seq[(String, Double)] = {
-    lazy val fs = Ceaff.features(spark, b)
-    val out = methods.map {
-      case m if Baselines.names.contains(m) =>
-        progress(s"${b.scenario.name}: running baseline $m")
-        m -> Baselines.accuracy(spark, b, m)
-      case "ceaff" =>
-        progress(s"${b.scenario.name}: running ceaff")
-        val r = Ceaff.run(spark, fs, CeaffConfig())
-        val a = Evaluation.accuracy(r.matches, b.test)
-        r.fused.unpersist(); r.matches.unpersist()
-        "ceaff" -> a
-      case "ceaffNoStr" =>
-        progress(s"${b.scenario.name}: running ceaff w/o string")
-        val r = Ceaff.run(spark, fs, CeaffConfig(useString = false))
-        val a = Evaluation.accuracy(r.matches, b.test)
-        r.fused.unpersist(); r.matches.unpersist()
-        "ceaffNoStr" -> a
-      case other => throw new IllegalArgumentException(s"unknown method '$other'")
+  def accuracies(spark: SparkSession, b: EaBenchmark): Seq[(String, Double)] = {
+    val fs = Ceaff.features(spark, b)
+    def ceaff(cfg: CeaffConfig): Double = {
+      val r = Ceaff.run(spark, fs, cfg)
+      val a = Evaluation.accuracy(r.matches, b.test)
+      r.fused.unpersist()
+      a
     }
-    if (methods.exists(m => !Baselines.names.contains(m))) fs.unpersistAll()
+    val out = accuracyMethods.map { m =>
+      progress(s"${b.scenario.name}: running $m")
+      m -> (m match {
+        case "ceaff"      => ceaff(CeaffConfig())
+        case "ceaffNoStr" => ceaff(CeaffConfig(useString = false))
+        case baseline     => Baselines.accuracy(spark, b, fs, baseline)
+      })
+    }
+    fs.unpersistAll()
     out
   }
 
@@ -187,13 +183,13 @@ object Experiments {
   def table6(spark: SparkSession, scale: Double): Seq[RankRow] =
     Seq(Scenario.Dbp15kZhEn, Scenario.Dbp15kJaEn, Scenario.Dbp15kFrEn).flatMap { sc =>
       val b = benchmark(spark, sc, scale)
+      val fs = Ceaff.features(spark, b)
       val baseRows = Baselines.names.map { name =>
-        val m = Baselines.matrix(spark, b, name)
-        val r = Evaluation.rankingMetrics(m, b.test)
-        m.unpersist()
+        progress(s"${sc.name}: ranking $name")
+        val r = Baselines.withMatrix(spark, b, fs, name)(Evaluation.rankingMetrics(_, b.test))
         RankRow(name, sc.name, r.hitsAt1, Some(r.hitsAt10), Some(r.mrr))
       }
-      val fs = Ceaff.features(spark, b)
+      progress(s"${sc.name}: ranking ceaff")
       val fused = Ceaff.fuse(spark, fs, CeaffConfig()).fused.cache()
       val indep = Evaluation.rankingMetrics(fused, b.test)
       val daa = StableMatching.daa(spark, fused)

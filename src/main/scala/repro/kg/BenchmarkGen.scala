@@ -111,21 +111,21 @@ object BenchmarkGen {
     val names2 = names(ids2, scenario.lang2)
 
     // --- embedding dictionary ------------------------------------------
+    // A token can render from several concepts (popular-pool reuse); real
+    // dictionaries have one vector per token, so each token keeps the
+    // vector of its smallest concept, whatever the partitioning.
     def dict(nm: DataFrame, lang: LangSpec): DataFrame =
       nm.select(explode(arrays_zip(col("concepts"), col("tokens"))).as("ct"))
-        .select(col("ct.concepts").as("concept"), col("ct.tokens").as("token"))
-        .distinct()
-        .as[(Long, String)]
-        .flatMap { case (concept, token) =>
+        .groupBy(col("ct.tokens").as("token"))
+        .agg(min(col("ct.concepts")).as("concept"))
+        .as[(String, Long)]
+        .flatMap { case (token, concept) =>
           if (NameModel.frac(s"oov:${lang.code}:$token:$seed") < lang.oov) None
           else Some(DictEntry(token, HashVectors.perturb(
             HashVectors.unitGaussian(s"c:$concept", Dim),
             HashVectors.unitGaussian(s"t:$token:${lang.code}", Dim),
             lang.sigma)))
         }
-        // A token can render from several concepts (popular-pool reuse);
-        // real dictionaries have one vector per token — keep the first.
-        .groupByKey(_.token).reduceGroups((a, _) => a).map(_._2)
         .toDF()
 
     val dict1 = dict(names1, scenario.lang1)

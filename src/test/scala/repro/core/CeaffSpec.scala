@@ -36,6 +36,42 @@ class CeaffSpec extends SparkSpec with Fixtures {
     b.unpersistAll()
   }
 
+  test("generation, features and fusion do not depend on the partitioning") {
+    /** Matchings and weights of CEAFF and "w/o AFF" on a benchmark
+      * generated with `n` shuffle partitions and every input member
+      * repartitioned to `n`.
+      */
+    def runAt(n: Int): Seq[(Map[Long, Long], Map[String, Double])] = {
+      val key = "spark.sql.shuffle.partitions"
+      val prev = spark.conf.get(key)
+      spark.conf.set(key, n.toString)
+      try {
+        val g = BenchmarkGen.generate(spark, Scenario.SrprsEnFr, nGold = 150, nFringe = 50, seed = 7)
+        val b = g.copy(
+          triples1 = g.triples1.repartition(n), triples2 = g.triples2.repartition(n),
+          names1 = g.names1.repartition(n), names2 = g.names2.repartition(n),
+          dict1 = g.dict1.repartition(n), dict2 = g.dict2.repartition(n),
+          seeds = g.seeds.repartition(n), test = g.test.repartition(n)).cached()
+        val fs = Ceaff.features(spark, b)
+        val out = Seq(CeaffConfig(), CeaffConfig(adaptive = false)).map { cfg =>
+          val r = Ceaff.run(spark, fs, cfg)
+          val m = matchMap(r.matches)
+          r.fused.unpersist()
+          (m, r.weights)
+        }
+        fs.unpersistAll(); b.unpersistAll()
+        out
+      } finally spark.conf.set(key, prev)
+    }
+    val one = runAt(1)
+    val eight = runAt(8)
+    Seq("CEAFF", "w/o AFF").zip(one.zip(eight)).foreach { case (name, ((m1, w1), (m8, w8))) =>
+      val same = m1 == m8
+      assert(same, s"$name: ${m1.count { case (s, d) => !m8.get(s).contains(d) }} of ${m1.size} matches differ")
+      assert(w1 == w8, s"$name weights")
+    }
+  }
+
   private object Plans extends AdaptiveSparkPlanHelper
 
   /** The cache a cached DataFrame reads. */

@@ -98,20 +98,4 @@ class StructuralFeatureSpec extends SparkSpec with Fixtures {
     msSparse.unpersist()
     sparse.unpersistAll()
   }
-
-  test("initOverride changes non-anchored init but zero vectors fall back to random") {
-    val zeroInit = b.names1.select(col("id"),
-      typedLit(Seq.fill(BenchmarkGen.Dim)(0.0)).as("vec"))
-    val (a1, _) = StructuralFeature.anchors(spark, b.seeds)
-    val e = StructuralFeature.embed(spark, b.triples1, b.names1.select(col("id")),
-      a1, side = 1, initOverride = Some(zeroInit))
-    val plain = StructuralFeature.embed(spark, b.triples1, b.names1.select(col("id")),
-      a1, side = 1)
-    // All-zero override is ignored entirely -> identical to plain run.
-    val diff = e.withColumnRenamed("vec", "v1")
-      .join(plain.withColumnRenamed("vec", "v2"), Seq("id"))
-      .as[(Long, Seq[Double], Seq[Double])].collect()
-      .count { case (_, v1, v2) => v1 != v2 }
-    assert(diff == 0)
-  }
 }
