@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.{col, udf}
+import org.apache.spark.sql.functions.col
 import repro.kg.EaBenchmark
 import repro.text.HashVectors
 
@@ -62,18 +62,18 @@ object Baselines {
     * (RDGCN/GM-Align/MultiKE-style). This is the paper's critique target:
     * the feature mix is frozen into the representation (implicitly
     * equal-weighted, norm-coupled, stringless), so feature-specific
-    * detail cannot be re-weighted at decision time. The matrix is a plan
-    * over `fs`'s embedding caches; it caches nothing of its own.
+    * detail cannot be re-weighted at decision time. The unified vectors
+    * are built on the driver from `fs`'s embeddings; the matrix caches
+    * nothing of its own.
     */
   private def repFusionMatrix(b: EaBenchmark, fs: FeatureSet): DataFrame = {
-    val concatNorm = udf { (a: Seq[Double], bb: Seq[Double]) =>
-      (HashVectors.normalize(a.toArray) ++ HashVectors.normalize(bb.toArray)).toSeq
+    def unified(se: DataFrame, ne: DataFrame): EntityTables.Vectors = {
+      val names = EntityTables.vectors(ne)
+      EntityTables.vectors(se).collect { case (id, sv) if names.contains(id) =>
+        id -> (HashVectors.normalize(sv) ++ HashVectors.normalize(names(id)))
+      }
     }
-    def unified(se: DataFrame, ne: DataFrame): DataFrame =
-      se.withColumnRenamed("vec", "sv")
-        .join(ne.withColumnRenamed("vec", "nv"), Seq("id"))
-        .select(col("id"), concatNorm(col("sv"), col("nv")).as("vec"))
-    SimilarityMatrix.cosineCross(unified(fs.structEmb1, fs.semEmb1),
+    SimilarityMatrix.cosines(unified(fs.structEmb1, fs.semEmb1),
       unified(fs.structEmb2, fs.semEmb2), SimilarityMatrix.testDomain(b.test))
   }
 

@@ -40,11 +40,17 @@ final case class CeaffConfig(
   * reuse them instead of recomputing embeddings). The caller of
   * [[Ceaff.features]] owns every cache here and releases them with
   * [[unpersistAll]].
+  *
+  * The seven matrix and embedding fields are all a feature set needs; one
+  * built from them alone works everywhere. [[Ceaff.features]] also sets
+  * `table`, the cached score table `ms`, `mn` and `ml` are column views
+  * of, so that [[unpersistAll]] releases it.
   */
 final case class FeatureSet(
     structEmb1: DataFrame, structEmb2: DataFrame,
     semEmb1: DataFrame, semEmb2: DataFrame,
-    ms: DataFrame, mn: DataFrame, ml: DataFrame) {
+    ms: DataFrame, mn: DataFrame, ml: DataFrame,
+    table: Option[DataFrame] = None) {
   def matrix(name: String): DataFrame = name match {
     case Ceaff.Struct => ms
     case Ceaff.Sem    => mn
@@ -52,7 +58,7 @@ final case class FeatureSet(
     case other        => throw new IllegalArgumentException(s"unknown feature '$other'")
   }
   def unpersistAll(): Unit =
-    Seq(structEmb1, structEmb2, semEmb1, semEmb2, ms, mn, ml).foreach(_.unpersist())
+    (Seq(structEmb1, structEmb2, semEmb1, semEmb2, ms, mn, ml) ++ table).foreach(_.unpersist())
 }
 
 /** Outcome of one CEAFF run. */
@@ -70,36 +76,51 @@ object Ceaff {
   val Str = "str"
   val Textual = "textual"
 
-  /** Compute (and cache) all three features for a benchmark. */
+  /** Compute all three features for a benchmark, in three steps:
+    *
+    *  1. one propagation over both KGs ([[StructuralFeature.embedBoth]]);
+    *  2. the entity tables on the driver: the structural vectors, the
+    *     names, and their embeddings averaged from the collected
+    *     dictionaries ([[SemanticFeature.average]]);
+    *  3. one cached score table `(src, dst, struct, sem, str)` over the
+    *     test domain, each cell scored against the broadcast tables.
+    *
+    * `ms`, `mn` and `ml` are column views of that table, and the
+    * embedding fields are local relations.
+    */
   def features(spark: SparkSession, b: EaBenchmark): FeatureSet = {
-    val (a1, a2) = StructuralFeature.anchors(spark, b.seeds)
-    val se1 = StructuralFeature.embed(spark, b.triples1, b.names1.select(col("id")), a1, side = 1)
-    val se2 = StructuralFeature.embed(spark, b.triples2, b.names2.select(col("id")), a2, side = 2)
-    val ne1 = SemanticFeature.nameEmbeddings(spark, b.names1, b.dict1, BenchmarkGen.Dim).cache()
-    val ne2 = SemanticFeature.nameEmbeddings(spark, b.names2, b.dict2, BenchmarkGen.Dim).cache()
-    val domain = SimilarityMatrix.testDomain(b.test)
-    FeatureSet(
-      structEmb1 = se1, structEmb2 = se2, semEmb1 = ne1, semEmb2 = ne2,
-      ms = StructuralFeature.calibrate(
-        SimilarityMatrix.cosineCross(se1, se2, domain)).cache(),
-      mn = SimilarityMatrix.cosineCross(ne1, ne2, domain).cache(),
-      ml = StringFeature.matrix(spark, b).cache())
+    import spark.implicits._
+    val (st1, st2) = StructuralFeature.embedBoth(spark, b, b.seeds)
+    def side(names: DataFrame, dict: DataFrame): (EntityTables.Vectors, Map[Long, String]) = {
+      val vectors = SemanticFeature.dictionary(dict)
+      val rows = names.select(col("id"), col("name"), col("tokens"))
+        .as[(Long, String, Seq[String])].collect()
+      (rows.map { case (id, _, t) => id -> SemanticFeature.average(t, vectors, BenchmarkGen.Dim) }.toMap,
+       rows.map { case (id, n, _) => id -> n }.toMap)
+    }
+    val (sem1, names1) = side(b.names1, b.dict1)
+    val (sem2, names2) = side(b.names2, b.dict2)
+    val table = EntityTables.scored(SimilarityMatrix.testDomain(b.test),
+      EntityTables(st1, st2, sem1, sem2, names1, names2)).cache()
+    def view(c: String) = table.select(col("src"), col("dst"), col(c).as("score"))
+    def relation(v: EntityTables.Vectors) = EntityTables.relation(spark, v)
+    FeatureSet(relation(st1), relation(st2), relation(sem1), relation(sem2),
+      view(Struct), view(Sem), view(Str), Some(table))
   }
 
   /** Score the three features on an arbitrary pair domain — used by the
     * LR baseline to build its training set over seed pairs. Returns the
     * domain's rows, with whatever columns they carry, plus one score
-    * column per feature; every row keeps its multiplicity. One plan: the
-    * rows are joined only to broadcast embedding and name tables.
+    * column per feature; every row keeps its multiplicity and order. The
+    * cells are scored like [[features]]' table, against `fs`'s embeddings
+    * and `b`'s names collected to the driver (the embeddings cost no Spark
+    * job when they are local relations, as [[features]] makes them).
     */
   def scoresOn(spark: SparkSession, b: EaBenchmark, fs: FeatureSet,
                domain: DataFrame): DataFrame = {
-    val scored = StringFeature.withRatio(
-      SimilarityMatrix.withCosine(
-        SimilarityMatrix.withCosine(domain, fs.structEmb1, fs.structEmb2, Struct),
-        fs.semEmb1, fs.semEmb2, Sem),
-      b, Str)
-    scored.withColumn(Struct, StructuralFeature.calibrated(col(Struct)))
+    import EntityTables.{names, vectors}
+    EntityTables.scored(domain, EntityTables(vectors(fs.structEmb1), vectors(fs.structEmb2),
+      vectors(fs.semEmb1), vectors(fs.semEmb2), names(b.names1), names(b.names2)))
   }
 
   /** Fuse the configured features.

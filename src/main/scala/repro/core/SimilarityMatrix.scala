@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import repro.text.HashVectors
 
 /** Operations on similarity matrices.
   *
@@ -14,30 +13,12 @@ import repro.text.HashVectors
   * the paper (§VII).
   *
   * Every matrix built on [[testDomain]] is hash-partitioned by `src`: its
-  * cells are joined only to broadcast entity tables, which keep that
-  * partitioning. Row-wise steps (weighted sums, row argmax, ranks, row
-  * maxima) then run without moving cells.
+  * cells are scored in place against broadcast entity tables
+  * ([[EntityTables]]), which keeps that partitioning. Row-wise steps
+  * (weighted sums, row argmax, ranks, row maxima) then run without moving
+  * cells.
   */
 object SimilarityMatrix {
-
-  private val cos = udf { (a: Seq[Double], b: Seq[Double]) =>
-    if (a == null || b == null) 0.0
-    else HashVectors.cosine(a.toArray, b.toArray)
-  }
-
-  /** Add to `cells` (which has `src` and `dst`) a column `name` with the
-    * cosine of the two embeddings `(id, vec)`. Both tables are broadcast,
-    * so the cells keep their partitioning; a side that lacks an embedding
-    * (or has a zero vector) scores 0.
-    */
-  def withCosine(cells: DataFrame, emb1: DataFrame, emb2: DataFrame, name: String): DataFrame = {
-    val (v1, v2) = (s"${name}_v1", s"${name}_v2")
-    cells
-      .join(broadcast(emb1.select(col("id").as("src"), col("vec").as(v1))), Seq("src"), "left")
-      .join(broadcast(emb2.select(col("id").as("dst"), col("vec").as(v2))), Seq("dst"), "left")
-      .withColumn(name, cos(col(v1), col(v2)))
-      .drop(v1, v2)
-  }
 
   /** Cosine-similarity matrix between two embedding tables `(id, vec)`
     * over the given `domain` `(src, dst)` universe (typically
@@ -45,8 +26,17 @@ object SimilarityMatrix {
     * has a zero vector) score 0.
     */
   def cosineCross(emb1: DataFrame, emb2: DataFrame, domain: DataFrame): DataFrame =
-    withCosine(domain.select(col("src"), col("dst")), emb1, emb2, "score")
-      .select(col("src"), col("dst"), col("score"))
+    cosines(EntityTables.vectors(emb1), EntityTables.vectors(emb2), domain)
+
+  /** [[cosineCross]] of embeddings held on the driver: both are broadcast
+    * and every cell is scored where it lies, so the matrix keeps the
+    * domain's partitioning.
+    */
+  def cosines(v1: EntityTables.Vectors, v2: EntityTables.Vectors, domain: DataFrame): DataFrame = {
+    val t = domain.sparkSession.sparkContext.broadcast((v1, v2))
+    domain.select(col("src"), col("dst"),
+      EntityTables.cellScore(t) { case ((a, b), s, d) => EntityTables.cosine(a, b, s, d) }.as("score"))
+  }
 
   /** The full test domain: test source ids × test target ids (paper: the
     * matrix spans all test entities on both axes). The source ids are

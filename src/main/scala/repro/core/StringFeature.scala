@@ -1,9 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.{broadcast, col}
+import org.apache.spark.sql.functions.col
 import repro.kg.EaBenchmark
-import repro.text.Levenshtein
 
 /** String feature `M^l`: Levenshtein ratio between entity names (paper
   * §IV-C), with substitution cost 2 (`lev*`), computed over the test
@@ -11,21 +10,13 @@ import repro.text.Levenshtein
   */
 object StringFeature {
 
-  /** Add to `cells` (which has `src` and `dst`) a column `name` with the
-    * Levenshtein ratio of the two entities' names. The name tables are
-    * broadcast, so the cells keep their partitioning.
+  /** Full `M^l` for a benchmark: both name tables are collected and
+    * broadcast, and every cell of the test domain is scored where it lies.
     */
-  def withRatio(cells: DataFrame, b: EaBenchmark, name: String): DataFrame = {
-    val (n1, n2) = (s"${name}_n1", s"${name}_n2")
-    cells
-      .join(broadcast(b.names1.select(col("id").as("src"), col("name").as(n1))), Seq("src"))
-      .join(broadcast(b.names2.select(col("id").as("dst"), col("name").as(n2))), Seq("dst"))
-      .withColumn(name, Levenshtein.ratioUdf(col(n1), col(n2)))
-      .drop(n1, n2)
+  def matrix(spark: SparkSession, b: EaBenchmark): DataFrame = {
+    val t = spark.sparkContext.broadcast(
+      (EntityTables.names(b.names1), EntityTables.names(b.names2)))
+    SimilarityMatrix.testDomain(b.test).select(col("src"), col("dst"),
+      EntityTables.cellScore(t) { case ((n1, n2), s, d) => EntityTables.ratio(n1, n2, s, d) }.as("score"))
   }
-
-  /** Full `M^l` for a benchmark. */
-  def matrix(spark: SparkSession, b: EaBenchmark): DataFrame =
-    withRatio(SimilarityMatrix.testDomain(b.test), b, "score")
-      .select(col("src"), col("dst"), col("score"))
 }

@@ -74,21 +74,22 @@ object StructuralFeature {
     * keyed by the message source and hash-partitioned like the
     * embeddings, so joining it to a round's embeddings moves nothing: each
     * round shuffles only its messages. Anchors are clamped from a
-    * broadcast map, and the whole propagation runs as one Spark job when
-    * the result is materialised.
+    * broadcast map, and the whole propagation runs as one Spark job that
+    * collects the result.
     *
-    * @param triples  one KG's triples `(src, rel, dst)`
+    * @param triples  one KG's triples `(src, rel, dst)`, or the disjoint
+    *                 union of both KGs' (see [[embedBoth]])
     * @param universe all entity ids of this KG `(id)` — includes isolated
     *                 entities, which keep their initial vectors
     * @param anchors  `(id, vec)` clamped entities (seed-pair members, plus
     *                 any bootstrapped pairs); vectors are re-imposed after
     *                 every round
-    * @param side     1 or 2 (kept for symmetry in call sites and logs)
-    * @return `(id, vec)` L2-normalised structural embeddings; entities
-    *         that no anchor reaches within `layers` hops stay at the
-    *         zero vector (cosine 0 to everything — no signal, no noise).
-    *         The result is cached and materialised, and the caller owns
-    *         that cache: it unpersists the result when done with it
+    * @param side     1 or 2, or 0 for both (kept for symmetry in call
+    *                 sites and logs)
+    * @return `(id, vec)` L2-normalised structural embeddings as a local
+    *         relation on the driver (nothing to release); entities that no
+    *         anchor reaches within `layers` hops stay at the zero vector
+    *         (cosine 0 to everything — no signal, no noise)
     */
   def embed(spark: SparkSession, triples: DataFrame, universe: DataFrame,
             anchors: DataFrame, side: Int,
@@ -96,9 +97,7 @@ object StructuralFeature {
     import spark.implicits._
     val sc = spark.sparkContext
     val byId = new HashPartitioner(sc.defaultParallelism)
-    val anchored = sc.broadcast(
-      anchors.select(col("id"), col("vec")).as[(Long, Seq[Double])].collect()
-        .map { case (id, v) => id -> v.toArray }.toMap)
+    val anchored = sc.broadcast(EntityTables.vectors(anchors))
     val ids = universe.select(col("id")).as[Long].rdd
 
     // Non-anchored entities start at zero: embeddings are then pure
@@ -139,17 +138,38 @@ object StructuralFeature {
     }
 
     // Every round but the last is read twice (messages and carry-over),
-    // so it is cached; the last goes straight into the returned cache.
+    // so it is cached; the last is collected.
     val rounds = mutable.Buffer(init.cache())
     for (_ <- 2 to layers) rounds += propagate(rounds.last).cache()
-    val last = if (layers >= 1) propagate(rounds.last) else rounds.last
-    val out = last.map { case (id, v) => (id, v.toSeq) }.toDF("id", "vec").cache()
-    out.count()
+    val out = (if (layers >= 1) propagate(rounds.last) else rounds.last).collect()
     (edges +: rounds).foreach(_.unpersist())
-    // The cached result's lineage still refers to the anchors: unpersist
-    // (the driver keeps the value), never destroy.
-    anchored.unpersist()
-    out
+    anchored.destroy()
+    EntityTables.relation(spark, out.toMap)
+  }
+
+  /** Tags an id column with its KG side, `2·id + side − 1`: the two KGs'
+    * ids become disjoint, and each side keeps its id order.
+    */
+  private def tagged(c: String, side: Int): Column = (col(c) * 2 + (side - 1)).as(c)
+
+  /** Both KGs' embeddings, anchored on `pairs`, from one propagation over
+    * the disjoint union of the two graphs. Its adjacency is block-diagonal,
+    * so this is two independent propagations; each target still adds its
+    * messages in sender order, and tagging keeps that order, so every
+    * vector has the bits of the per-side [[embed]].
+    */
+  def embedBoth(spark: SparkSession, b: EaBenchmark, pairs: DataFrame,
+                layers: Int = DefaultLayers): (EntityTables.Vectors, EntityTables.Vectors) = {
+    val (a1, a2) = anchors(spark, pairs)
+    def both(df1: DataFrame, df2: DataFrame)(cols: Int => Seq[Column]): DataFrame =
+      df1.select(cols(1): _*).union(df2.select(cols(2): _*))
+    val all = EntityTables.vectors(embed(spark,
+      both(b.triples1, b.triples2)(s => Seq(tagged("src", s), tagged("dst", s))),
+      both(b.names1, b.names2)(s => Seq(tagged("id", s))),
+      both(a1, a2)(s => Seq(tagged("id", s), col("vec"))),
+      side = 0, layers = layers))
+    def side(tag: Long) = all.collect { case (id, v) if (id & 1) == tag => (id >> 1) -> v }
+    (side(0), side(1))
   }
 
   /** Anchor tables for the two sides: each seed pair `(u, v)` shares one
@@ -165,10 +185,10 @@ object StructuralFeature {
      withVec.select(col("dst").as("id"), col("vec")))
   }
 
-  /** Full `M^s` for a benchmark: embed both KGs with seed anchoring and
-    * take cosine similarity over the test domain. The matrix is returned
-    * cached and materialised, and the caller owns that cache; the
-    * embeddings it was computed from are released.
+  /** Full `M^s` for a benchmark: embed both KGs with seed anchoring in
+    * one propagation ([[embedBoth]]) and take cosine similarity over the
+    * test domain. The matrix is returned cached and materialised, and the
+    * caller owns that cache.
     *
     * @param extraPairs optional additional anchored pairs (bootstrapping
     *                   baselines append confident matches here)
@@ -179,13 +199,10 @@ object StructuralFeature {
       case Some(p) => b.seeds.union(p.select(col("src"), col("dst"))).distinct()
       case None    => b.seeds
     }
-    val (a1, a2) = anchors(spark, pairs)
-    val e1 = embed(spark, b.triples1, b.names1.select(col("id")), a1, side = 1, layers = layers)
-    val e2 = embed(spark, b.triples2, b.names2.select(col("id")), a2, side = 2, layers = layers)
-    val m = calibrate(SimilarityMatrix.cosineCross(e1, e2, SimilarityMatrix.testDomain(b.test)))
+    val (v1, v2) = embedBoth(spark, b, pairs, layers)
+    val m = calibrate(SimilarityMatrix.cosines(v1, v2, SimilarityMatrix.testDomain(b.test)))
       .cache()
     m.count()
-    e1.unpersist(); e2.unpersist()
     m
   }
 }

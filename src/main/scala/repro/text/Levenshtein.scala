@@ -59,13 +59,6 @@ object Levenshtein {
     prev(b.length)
   }
 
-  /** UDF form of [[ratio]] for DataFrame cross-joins (null-safe: a null
-    * name yields similarity 0).
-    */
-  val ratioUdf: UserDefinedFunction = udf { (a: String, b: String) =>
-    if (a == null || b == null) 0.0 else ratio(a, b)
-  }
-
   /** UDF form of unit-cost [[lev]] (for oracle cross-checks). */
   val levUdf: UserDefinedFunction = udf { (a: String, b: String) =>
     if (a == null || b == null) -1 else lev(a, b)

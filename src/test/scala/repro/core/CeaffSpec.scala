@@ -6,7 +6,8 @@ import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.functions._
-import repro.kg.{BenchmarkGen, Scenario}
+import org.apache.spark.JobCount
+import repro.kg.{BenchmarkGen, EaBenchmark, Scenario}
 import repro.{Fixtures, SparkSpec}
 
 /** End-to-end CEAFF pipeline tests on small benchmarks. */
@@ -18,6 +19,14 @@ class CeaffSpec extends SparkSpec with Fixtures {
     .generate(spark, Scenario.SrprsEnFr, nGold = 150, nFringe = 50, seed = 7).cached()
   private lazy val fsMono = Ceaff.features(spark, mono)
   private lazy val fsCross = Ceaff.features(spark, cross)
+
+  /** `f` of a CEAFF run, with the run's fused cache released afterwards,
+    * so that a later run of the same plan caches it afresh.
+    */
+  private def released[A](fs: FeatureSet, cfg: CeaffConfig)(f: CeaffResult => A): A = {
+    val r = Ceaff.run(spark, fs, cfg)
+    try f(r) finally r.fused.unpersist()
+  }
 
   test("features and a full run release every cache once the caller unpersists") {
     val b = BenchmarkGen
@@ -34,6 +43,76 @@ class CeaffSpec extends SparkSpec with Fixtures {
     fs.unpersistAll()
     assert(spark.sparkContext.getPersistentRDDs.keySet == before)
     b.unpersistAll()
+  }
+
+  /** A matrix's or embedding table's values by key, as raw bits, so that
+    * equality is exact `Double` equality.
+    */
+  private def scoreBits(m: DataFrame): Map[(Long, Long), Long] =
+    cells(m).map { case (s, d, v) => (s, d) -> java.lang.Double.doubleToRawLongBits(v) }.toMap
+  private def vectorBits(e: DataFrame): Map[Long, Seq[Long]] =
+    EntityTables.vectors(e).map { case (id, v) => id -> v.toSeq.map(java.lang.Double.doubleToRawLongBits) }
+
+  /** The per-layer composition of `Ceaff.features`: one propagation and
+    * one name-embedding table per side, then one matrix per feature.
+    */
+  private def perLayer(b: EaBenchmark): FeatureSet = {
+    val (a1, a2) = StructuralFeature.anchors(spark, b.seeds)
+    val se1 = StructuralFeature.embed(spark, b.triples1, b.names1.select(col("id")), a1, side = 1)
+    val se2 = StructuralFeature.embed(spark, b.triples2, b.names2.select(col("id")), a2, side = 2)
+    val ne1 = SemanticFeature.nameEmbeddings(spark, b.names1, b.dict1, BenchmarkGen.Dim)
+    val ne2 = SemanticFeature.nameEmbeddings(spark, b.names2, b.dict2, BenchmarkGen.Dim)
+    val domain = SimilarityMatrix.testDomain(b.test)
+    FeatureSet(se1, se2, ne1, ne2,
+      StructuralFeature.calibrate(SimilarityMatrix.cosineCross(se1, se2, domain)),
+      SimilarityMatrix.cosineCross(ne1, ne2, domain),
+      StringFeature.matrix(spark, b))
+  }
+
+  test("features equal the per-layer composition, bit for bit") {
+    val want = perLayer(cross)
+    Seq(Ceaff.Struct, Ceaff.Sem, Ceaff.Str).foreach { f =>
+      assert(scoreBits(fsCross.matrix(f)) == scoreBits(want.matrix(f)), s"$f matrix")
+    }
+    assert(vectorBits(fsCross.structEmb1) == vectorBits(want.structEmb1))
+    assert(vectorBits(fsCross.structEmb2) == vectorBits(want.structEmb2))
+    assert(vectorBits(fsCross.semEmb1) == vectorBits(want.semEmb1))
+    assert(vectorBits(fsCross.semEmb2) == vectorBits(want.semEmb2))
+  }
+
+  test("a feature set built from its seven fields gives the same weights and matchings") {
+    val fs = fsCross
+    val seven = FeatureSet(fs.structEmb1, fs.structEmb2, fs.semEmb1, fs.semEmb2, fs.ms, fs.mn, fs.ml)
+    val lr = LRFusion.learnWeights(spark, cross, fs)
+    assert(LRFusion.learnWeights(spark, cross, seven) == lr)
+    assert(LRFusion.learnWeights(spark, cross, perLayer(cross)) == lr)
+    Seq(CeaffConfig(), CeaffConfig(collective = false, adaptive = false),
+        CeaffConfig(fixedWeights = Some(lr), collective = false)).foreach { cfg =>
+      def out(f: FeatureSet) = released(f, cfg)(r => (matchMap(r.matches), r.weights))
+      assert(out(seven) == out(fs), cfg.toString)
+    }
+  }
+
+  /** Jobs of `Ceaff.features`, an equal-weight `Ceaff.run` and
+    * `Evaluation.accuracy` on the guard's benchmark, as measured at 2 and
+    * at 4 cores.
+    */
+  private val MaxJobs = 15
+
+  test("features, an equal-weight run and its accuracy stay within their job count") {
+    val b = BenchmarkGen
+      .generate(spark, Scenario.SrprsEnFr, nGold = 60, nFringe = 20, seed = 3).cached()
+    Seq(b.triples1, b.triples2, b.names1, b.names2, b.dict1, b.dict2, b.seeds, b.test)
+      .foreach(_.count())
+    val ((fs, r), jobs) = JobCount(spark.sparkContext) {
+      val fs = Ceaff.features(spark, b)
+      val r = Ceaff.run(spark, fs, CeaffConfig(collective = false, adaptive = false))
+      Evaluation.accuracy(r.matches, b.test)
+      (fs, r)
+    }
+    r.fused.unpersist(); fs.unpersistAll(); b.unpersistAll()
+    info(s"$jobs Spark jobs, bound $MaxJobs")
+    assert(jobs <= MaxJobs, s"$jobs Spark jobs")
   }
 
   test("generation, features and fusion do not depend on the partitioning") {
@@ -108,36 +187,32 @@ class CeaffSpec extends SparkSpec with Fixtures {
   }
 
   test("full CEAFF run yields a 1-1 matching over all test entities") {
-    val r = Ceaff.run(spark, fsMono, CeaffConfig())
-    val m = matchMap(r.matches)
+    val m = released(fsMono, CeaffConfig())(r => matchMap(r.matches))
     assert(m.size == mono.test.count())
     assert(m.values.toSet.size == m.size, "matching is not injective")
   }
 
   test("effective fusion weights form a distribution over enabled features") {
-    val r = Ceaff.run(spark, fsCross, CeaffConfig())
-    assert(r.weights.keySet == Set(Ceaff.Struct, Ceaff.Sem, Ceaff.Str))
-    assert(math.abs(r.weights.values.sum - 1.0) < 1e-9, r.weights.toString)
-    assert(r.weights.values.forall(_ >= 0.0))
+    val w = released(fsCross, CeaffConfig())(_.weights)
+    assert(w.keySet == Set(Ceaff.Struct, Ceaff.Sem, Ceaff.Str))
+    assert(math.abs(w.values.sum - 1.0) < 1e-9, w.toString)
+    assert(w.values.forall(_ >= 0.0))
   }
 
   test("CEAFF reaches near-perfect accuracy on mono-lingual data (paper Table IV)") {
-    val r = Ceaff.run(spark, fsMono, CeaffConfig())
-    val acc = Evaluation.accuracy(r.matches, mono.test)
+    val acc = released(fsMono, CeaffConfig())(r => Evaluation.accuracy(r.matches, mono.test))
     assert(acc > 0.95, s"mono CEAFF accuracy $acc")
   }
 
   test("collective decisions beat independent ones on cross-lingual data (w/o C ablation)") {
-    val coll = Evaluation.accuracy(
-      Ceaff.run(spark, fsCross, CeaffConfig()).matches, cross.test)
-    val indep = Evaluation.accuracy(
-      Ceaff.run(spark, fsCross, CeaffConfig(collective = false)).matches, cross.test)
+    def acc(cfg: CeaffConfig) = released(fsCross, cfg)(r => Evaluation.accuracy(r.matches, cross.test))
+    val coll = acc(CeaffConfig())
+    val indep = acc(CeaffConfig(collective = false))
     assert(coll >= indep, s"collective $coll < independent $indep")
   }
 
   test("CEAFF beats every single feature alone on cross-lingual data") {
-    val full = Evaluation.accuracy(
-      Ceaff.run(spark, fsCross, CeaffConfig()).matches, cross.test)
+    val full = released(fsCross, CeaffConfig())(r => Evaluation.accuracy(r.matches, cross.test))
     for (m <- Seq(fsCross.ms, fsCross.mn, fsCross.ml)) {
       val single = Evaluation.accuracy(SimilarityMatrix.greedyMatch(m), cross.test)
       assert(full >= single, s"full $full below single-feature $single")
@@ -145,11 +220,11 @@ class CeaffSpec extends SparkSpec with Fixtures {
   }
 
   test("disabling a feature changes the pipeline output accordingly") {
-    val noStr = Ceaff.run(spark, fsMono, CeaffConfig(useString = false))
-    assert(!noStr.weights.contains(Ceaff.Str))
-    val noStruct = Ceaff.run(spark, fsCross, CeaffConfig(useStruct = false))
-    assert(!noStruct.weights.contains(Ceaff.Struct))
-    assert(math.abs(noStruct.weights.values.sum - 1.0) < 1e-9)
+    val noStr = released(fsMono, CeaffConfig(useString = false))(_.weights)
+    assert(!noStr.contains(Ceaff.Str))
+    val noStruct = released(fsCross, CeaffConfig(useStruct = false))(_.weights)
+    assert(!noStruct.contains(Ceaff.Struct))
+    assert(math.abs(noStruct.values.sum - 1.0) < 1e-9)
   }
 
   test("all features disabled is rejected") {
