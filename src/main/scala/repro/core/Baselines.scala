@@ -53,7 +53,7 @@ object Baselines {
     val perSrc = cand.groupMapReduce(_._1)(_ => 1)(_ + _)
     val perDst = cand.groupMapReduce(_._2)(_ => 1)(_ + _)
     val extra = cand.filter { case (s, d) => perSrc(s) == 1 && perDst(d) == 1 }.distinct
-    StructuralFeature.matrix(spark, b, extraPairs = Some(extra.toSeq.toDF("src", "dst")))
+    StructuralFeature.matrix(spark, b, extraPairs = extra)
   }
 
   /** Representation-level fusion proxy: each entity gets ONE unified
@@ -63,8 +63,7 @@ object Baselines {
     * the feature mix is frozen into the representation (implicitly
     * equal-weighted, norm-coupled, stringless), so feature-specific
     * detail cannot be re-weighted at decision time. The unified vectors
-    * are built on the driver from `fs`'s embeddings; the matrix caches
-    * nothing of its own.
+    * are built on the driver from `fs`'s embeddings.
     */
   private def repFusionMatrix(b: EaBenchmark, fs: FeatureSet): DataFrame = {
     def unified(se: DataFrame, ne: DataFrame): EntityTables.Vectors = {
@@ -77,25 +76,21 @@ object Baselines {
       unified(fs.structEmb2, fs.semEmb2), SimilarityMatrix.testDomain(b.test))
   }
 
-  /** Lend the similarity matrix of a named baseline, scored on `fs`, to
-    * `use`. A baseline releases only the caches it made; `fs` and its
-    * caches belong to the caller.
+  /** The similarity matrix of a named baseline, scored on `fs`: an
+    * uncached plan, or one of `fs`'s own matrices. A baseline makes no
+    * cache.
     */
-  def withMatrix[A](spark: SparkSession, b: EaBenchmark, fs: FeatureSet, name: String)
-                   (use: DataFrame => A): A = {
-    def owned(m: DataFrame): A = try use(m) finally m.unpersist()
+  def matrix(spark: SparkSession, b: EaBenchmark, fs: FeatureSet, name: String): DataFrame =
     name match {
-      case "structShallow"   => owned(StructuralFeature.matrix(spark, b, layers = 1))
-      case "structStandard"  => use(fs.ms)
-      case "structDeep"      => owned(StructuralFeature.matrix(spark, b, layers = 3))
-      case "structBootstrap" => owned(bootstrapMatrix(spark, b, fs))
-      case "repFusion"       => use(repFusionMatrix(b, fs))
+      case "structShallow"   => StructuralFeature.matrix(spark, b, layers = 1)
+      case "structStandard"  => fs.ms
+      case "structDeep"      => StructuralFeature.matrix(spark, b, layers = 3)
+      case "structBootstrap" => bootstrapMatrix(spark, b, fs)
+      case "repFusion"       => repFusionMatrix(b, fs)
       case other => throw new IllegalArgumentException(s"unknown baseline '$other'")
     }
-  }
 
   /** Independent-decision accuracy of a named baseline. */
   def accuracy(spark: SparkSession, b: EaBenchmark, fs: FeatureSet, name: String): Double =
-    withMatrix(spark, b, fs, name)(m =>
-      Evaluation.accuracy(SimilarityMatrix.greedyMatch(m), b.test))
+    Evaluation.accuracy(SimilarityMatrix.greedyMatch(matrix(spark, b, fs, name)), b.test)
 }

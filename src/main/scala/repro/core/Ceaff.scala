@@ -78,10 +78,10 @@ object Ceaff {
 
   /** Compute all three features for a benchmark, in three steps:
     *
-    *  1. one propagation over both KGs ([[StructuralFeature.embedBoth]]);
-    *  2. the entity tables on the driver: the structural vectors, the
-    *     names, and their embeddings averaged from the collected
-    *     dictionaries ([[SemanticFeature.average]]);
+    *  1. the names, and their embeddings averaged from the collected
+    *     dictionaries ([[SemanticFeature.average]]), on the driver;
+    *  2. both KGs' structural vectors, propagated on the driver over the
+    *     collected names' ids ([[StructuralFeature.embedBoth]]);
     *  3. one cached score table `(src, dst, struct, sem, str)` over the
     *     test domain, each cell scored against the broadcast tables.
     *
@@ -90,7 +90,6 @@ object Ceaff {
     */
   def features(spark: SparkSession, b: EaBenchmark): FeatureSet = {
     import spark.implicits._
-    val (st1, st2) = StructuralFeature.embedBoth(spark, b, b.seeds)
     def side(names: DataFrame, dict: DataFrame): (EntityTables.Vectors, Map[Long, String]) = {
       val vectors = SemanticFeature.dictionary(dict)
       val rows = names.select(col("id"), col("name"), col("tokens"))
@@ -100,6 +99,8 @@ object Ceaff {
     }
     val (sem1, names1) = side(b.names1, b.dict1)
     val (sem2, names2) = side(b.names2, b.dict2)
+    val (st1, st2) = StructuralFeature.embedBoth(spark, b,
+      b.seeds.select(col("src"), col("dst")).as[(Long, Long)].collect(), names1.keys, names2.keys)
     val table = EntityTables.scored(SimilarityMatrix.testDomain(b.test),
       EntityTables(st1, st2, sem1, sem2, names1, names2)).cache()
     def view(c: String) = table.select(col("src"), col("dst"), col(c).as("score"))

@@ -1,13 +1,9 @@
 package repro.core
 
-import org.apache.spark.HashPartitioner
-import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.kg.{BenchmarkGen, EaBenchmark, NameModel}
 import repro.text.HashVectors
-import scala.collection.mutable
-import scala.reflect.ClassTag
 
 /** Structural feature `M^s`: seed-anchored GCN propagation.
   *
@@ -23,9 +19,9 @@ import scala.reflect.ClassTag
   * the same fixed point the margin loss optimises for, deterministically
   * and with no cross-KG initialisation noise (DESIGN.md §2).
   *
-  * Implemented as an iterative RDD algorithm over embeddings and edges
-  * partitioned alike: one shuffle (the messages' `groupByKey`) per
-  * propagation round.
+  * The propagation is entity-level work, O(#triples · dim), so it runs on
+  * the driver ([[propagate]]); only the O(n²) cells of the matrix are
+  * scored on Spark.
   */
 object StructuralFeature {
 
@@ -62,115 +58,85 @@ object StructuralFeature {
   def calibrate(m: DataFrame): DataFrame =
     m.select(col("src"), col("dst"), calibrated(col("score")).as("score"))
 
-  /** `f` applied to every entry, keeping the RDD's partitioner. */
-  private def mapWithKey[V, W: ClassTag](rdd: RDD[(Long, V)])(f: (Long, V) => W)
-      : RDD[(Long, W)] =
-    rdd.mapPartitions(_.map { case (k, v) => k -> f(k, v) }, preservesPartitioning = true)
+  /** Propagate `layers` rounds from anchored initial vectors, on the
+    * driver.
+    *
+    * Each entity's neighbours are its distinct undirected neighbours in
+    * `edges` plus itself, and `w(i, j) = 1/sqrt(d_i · d_j)` with `d` the
+    * number of neighbours. Degrees count every endpoint of `edges`, but
+    * only entities of `ids` send messages. Each entity adds its messages
+    * in ascending sender id and L2-normalises the sum; anchors are
+    * re-imposed after every round.
+    *
+    * @param edges    one KG's triples as `(src, dst)`
+    * @param ids      every entity of the KG, isolated ones included
+    * @param anchored clamped entities (seed-pair members, plus any
+    *                 bootstrapped pairs) and their vectors
+    * @return L2-normalised embeddings of `ids`; entities that no anchor
+    *         reaches within `layers` hops stay at the zero vector (cosine
+    *         0 to everything — no signal, no noise)
+    */
+  def propagate(edges: Iterable[(Long, Long)], ids: Iterable[Long],
+                anchored: EntityTables.Vectors, dim: Int, layers: Int): EntityTables.Vectors = {
+    val neighbours: Map[Long, Array[Long]] =
+      (edges.flatMap { case (s, d) => Seq(s -> d, d -> s) } ++ ids.map(id => id -> id))
+        .groupMap(_._1)(_._2).map { case (i, ns) => i -> ns.toArray.distinct.sorted }
+    def degree(i: Long): Long = neighbours(i).length.toLong
+    // Non-anchored entities start at zero: embeddings are then pure
+    // mixtures of anchor directions, with no cross-KG random noise —
+    // the label-propagation analogue of the paper's trained alignment.
+    val init = ids.map(id => id -> anchored.getOrElse(id, new Array[Double](dim))).toMap
+    def round(emb: EntityTables.Vectors): EntityTables.Vectors = emb.map { case (i, _) =>
+      i -> anchored.getOrElse(i, HashVectors.normalize(neighbours(i).iterator.filter(emb.contains)
+        .map(j => HashVectors.scale(emb(j), 1.0 / math.sqrt((degree(j) * degree(i)).toDouble)))
+        .reduceLeft(HashVectors.add)))
+    }
+    Iterator.iterate(init)(round).drop(layers).next()
+  }
 
-  /** Propagate `layers` rounds from anchored initial vectors.
+  /** [[propagate]] over one KG's Spark tables.
     *
-    * The symmetric-normalised adjacency with self-loops,
-    * `w(i, j) = 1/sqrt(d_i · d_j)` with `d = degree + 1`, is built once,
-    * keyed by the message source and hash-partitioned like the
-    * embeddings, so joining it to a round's embeddings moves nothing: each
-    * round shuffles only its messages. Anchors are clamped from a
-    * broadcast map, and the whole propagation runs as one Spark job that
-    * collects the result.
-    *
-    * @param triples  one KG's triples `(src, rel, dst)`, or the disjoint
-    *                 union of both KGs' (see [[embedBoth]])
-    * @param universe all entity ids of this KG `(id)` — includes isolated
-    *                 entities, which keep their initial vectors
-    * @param anchors  `(id, vec)` clamped entities (seed-pair members, plus
-    *                 any bootstrapped pairs); vectors are re-imposed after
-    *                 every round
-    * @param side     1 or 2, or 0 for both (kept for symmetry in call
-    *                 sites and logs)
-    * @return `(id, vec)` L2-normalised structural embeddings as a local
-    *         relation on the driver (nothing to release); entities that no
-    *         anchor reaches within `layers` hops stay at the zero vector
-    *         (cosine 0 to everything — no signal, no noise)
+    * @param triples  one KG's triples `(src, rel, dst)`
+    * @param universe all entity ids of this KG `(id)`
+    * @param anchors  `(id, vec)` clamped entities
+    * @param side     1 or 2; names the KG at call sites, and the result
+    *                 does not depend on it
+    * @return `(id, vec)` structural embeddings as a local relation on the
+    *         driver (nothing to release)
     */
   def embed(spark: SparkSession, triples: DataFrame, universe: DataFrame,
             anchors: DataFrame, side: Int,
             dim: Int = BenchmarkGen.Dim, layers: Int = DefaultLayers): DataFrame = {
     import spark.implicits._
-    val sc = spark.sparkContext
-    val byId = new HashPartitioner(sc.defaultParallelism)
-    val anchored = sc.broadcast(EntityTables.vectors(anchors))
-    val ids = universe.select(col("id")).as[Long].rdd
-
-    // Non-anchored entities start at zero: embeddings are then pure
-    // mixtures of anchor directions, with no cross-KG random noise —
-    // the label-propagation analogue of the paper's trained alignment.
-    // Partitioned like the edges, so round 1's join moves no edge.
-    val init = ids.map(id => id -> anchored.value.getOrElse(id, new Array[Double](dim)))
-      .partitionBy(byId)
-
-    // Distinct undirected neighbours, self-loops included; each node then
-    // tells its neighbours its degree. Messages flow i -> j.
-    val neighbours: RDD[(Long, Array[Long])] =
-      triples.select(col("src"), col("dst")).as[(Long, Long)].rdd
-        .flatMap { case (s, d) => Iterator(s -> d, d -> s) }
-        .union(ids.map(id => id -> id))
-        .groupByKey(byId)
-        .mapValues(_.toArray.distinct.sorted)
-    val edges: RDD[(Long, Array[(Long, Double)])] = neighbours
-      .flatMap { case (i, ns) => ns.iterator.map(j => j -> (i, ns.length.toLong)) }
-      .groupByKey(byId)
-      .mapValues { in =>
-        val d = in.size.toLong
-        in.toArray.sortBy(_._1).map { case (j, dj) => (j, 1.0 / math.sqrt((d * dj).toDouble)) }
-      }
-      .cache()
-
-    // Each target adds its messages in sender order, so the sums have the
-    // same bits whatever the partitioning and the shuffle's fetch order.
-    def propagate(emb: RDD[(Long, Array[Double])]): RDD[(Long, Array[Double])] = {
-      val received = edges.join(emb)
-        .flatMap { case (i, (out, v)) => out.iterator.map { case (j, w) => j -> (i, HashVectors.scale(v, w)) } }
-        .groupByKey(byId)
-        .mapValues(_.toArray.sortBy(_._1).map(_._2).reduceLeft(HashVectors.add))
-      // Isolated entities receive no messages; keep their current vector.
-      mapWithKey(emb.leftOuterJoin(received)) { case (id, (old, p)) =>
-        anchored.value.getOrElse(id, p.map(HashVectors.normalize).getOrElse(old))
-      }
-    }
-
-    // Every round but the last is read twice (messages and carry-over),
-    // so it is cached; the last is collected.
-    val rounds = mutable.Buffer(init.cache())
-    for (_ <- 2 to layers) rounds += propagate(rounds.last).cache()
-    val out = (if (layers >= 1) propagate(rounds.last) else rounds.last).collect()
-    (edges +: rounds).foreach(_.unpersist())
-    anchored.destroy()
-    EntityTables.relation(spark, out.toMap)
+    val edges = triples.select(col("src"), col("dst")).as[(Long, Long)].collect()
+    val ids = universe.select(col("id")).as[Long].collect()
+    EntityTables.relation(spark, propagate(edges, ids, EntityTables.vectors(anchors), dim, layers))
   }
 
-  /** Tags an id column with its KG side, `2·id + side − 1`: the two KGs'
-    * ids become disjoint, and each side keeps its id order.
+  /** Both KGs' embeddings, anchored on `pairs`, from one collect of both
+    * KGs' edges and one [[propagate]] per side: every vector has the bits
+    * of the per-side [[embed]].
+    *
+    * @param ids1 every entity of KG 1; `ids2` likewise
     */
-  private def tagged(c: String, side: Int): Column = (col(c) * 2 + (side - 1)).as(c)
-
-  /** Both KGs' embeddings, anchored on `pairs`, from one propagation over
-    * the disjoint union of the two graphs. Its adjacency is block-diagonal,
-    * so this is two independent propagations; each target still adds its
-    * messages in sender order, and tagging keeps that order, so every
-    * vector has the bits of the per-side [[embed]].
-    */
-  def embedBoth(spark: SparkSession, b: EaBenchmark, pairs: DataFrame,
+  def embedBoth(spark: SparkSession, b: EaBenchmark, pairs: Iterable[(Long, Long)],
+                ids1: Iterable[Long], ids2: Iterable[Long],
                 layers: Int = DefaultLayers): (EntityTables.Vectors, EntityTables.Vectors) = {
-    val (a1, a2) = anchors(spark, pairs)
-    def both(df1: DataFrame, df2: DataFrame)(cols: Int => Seq[Column]): DataFrame =
-      df1.select(cols(1): _*).union(df2.select(cols(2): _*))
-    val all = EntityTables.vectors(embed(spark,
-      both(b.triples1, b.triples2)(s => Seq(tagged("src", s), tagged("dst", s))),
-      both(b.names1, b.names2)(s => Seq(tagged("id", s))),
-      both(a1, a2)(s => Seq(tagged("id", s), col("vec"))),
-      side = 0, layers = layers))
-    def side(tag: Long) = all.collect { case (id, v) if (id & 1) == tag => (id >> 1) -> v }
-    (side(0), side(1))
+    import spark.implicits._
+    val dim = BenchmarkGen.Dim
+    def withSide(t: DataFrame, s: Int) = t.select(lit(s), col("src"), col("dst"))
+    val edges = withSide(b.triples1, 1).union(withSide(b.triples2, 2))
+      .as[(Int, Long, Long)].collect()
+    val anchored = pairs.map { case (u, v) => (u, v, anchorVector(u, v, dim)) }
+    def side(s: Int, ids: Iterable[Long], a: EntityTables.Vectors) =
+      propagate(edges.collect { case (`s`, u, v) => (u, v) }, ids, a, dim, layers)
+    (side(1, ids1, anchored.map { case (u, _, x) => u -> x }.toMap),
+     side(2, ids2, anchored.map { case (_, v, x) => v -> x }.toMap))
   }
+
+  /** The anchor vector a seed pair `(u, v)` shares on both sides. */
+  private def anchorVector(u: Long, v: Long, dim: Int): Array[Double] =
+    HashVectors.unitGaussian(s"pair:$u:$v", dim)
 
   /** Anchor tables for the two sides: each seed pair `(u, v)` shares one
     * deterministic unit vector keyed by the pair.
@@ -179,30 +145,25 @@ object StructuralFeature {
       : (DataFrame, DataFrame) = {
     import spark.implicits._
     val withVec = pairs.select(col("src"), col("dst")).as[(Long, Long)]
-      .map { case (u, v) => (u, v, HashVectors.unitGaussian(s"pair:$u:$v", dim).toSeq) }
+      .map { case (u, v) => (u, v, anchorVector(u, v, dim).toSeq) }
       .toDF("src", "dst", "vec")
     (withVec.select(col("src").as("id"), col("vec")),
      withVec.select(col("dst").as("id"), col("vec")))
   }
 
-  /** Full `M^s` for a benchmark: embed both KGs with seed anchoring in
-    * one propagation ([[embedBoth]]) and take cosine similarity over the
-    * test domain. The matrix is returned cached and materialised, and the
-    * caller owns that cache.
+  /** Full `M^s` for a benchmark: embed both KGs with seed anchoring
+    * ([[embedBoth]]) and take the calibrated cosine similarity over the
+    * test domain. The matrix is an uncached plan.
     *
-    * @param extraPairs optional additional anchored pairs (bootstrapping
-    *                   baselines append confident matches here)
+    * @param extraPairs additional anchored pairs (bootstrapping baselines
+    *                   append confident matches here)
     */
   def matrix(spark: SparkSession, b: EaBenchmark, layers: Int = DefaultLayers,
-             extraPairs: Option[DataFrame] = None): DataFrame = {
-    val pairs = extraPairs match {
-      case Some(p) => b.seeds.union(p.select(col("src"), col("dst"))).distinct()
-      case None    => b.seeds
-    }
-    val (v1, v2) = embedBoth(spark, b, pairs, layers)
-    val m = calibrate(SimilarityMatrix.cosines(v1, v2, SimilarityMatrix.testDomain(b.test)))
-      .cache()
-    m.count()
-    m
+             extraPairs: Iterable[(Long, Long)] = Nil): DataFrame = {
+    import spark.implicits._
+    def ids(names: DataFrame) = names.select(col("id")).as[Long].collect()
+    val seeds = b.seeds.select(col("src"), col("dst")).as[(Long, Long)].collect()
+    val (v1, v2) = embedBoth(spark, b, seeds ++ extraPairs, ids(b.names1), ids(b.names2), layers)
+    calibrate(SimilarityMatrix.cosines(v1, v2, SimilarityMatrix.testDomain(b.test)))
   }
 }

@@ -154,13 +154,13 @@ object Experiments {
       val a = Evaluation.accuracy(r.matches, b.test)
       progress(s"${b.scenario.name}: '$name' acc=$a weights=${
         r.weights.view.mapValues(w => f"$w%.3f").toMap}")
-      r.fused.unpersist(); r.matches.unpersist()
+      r.fused.unpersist()
       name -> a
     }
     val lrWeights = LRFusion.learnWeights(spark, b, fs)
     val lrRun = Ceaff.run(spark, fs, CeaffConfig(fixedWeights = Some(lrWeights)))
     val lrAcc = Evaluation.accuracy(lrRun.matches, b.test)
-    lrRun.fused.unpersist(); lrRun.matches.unpersist()
+    lrRun.fused.unpersist()
     fs.unpersistAll()
     rows :+ ("LR" -> lrAcc)
   }
@@ -186,7 +186,7 @@ object Experiments {
       val fs = Ceaff.features(spark, b)
       val baseRows = Baselines.names.map { name =>
         progress(s"${sc.name}: ranking $name")
-        val r = Baselines.withMatrix(spark, b, fs, name)(Evaluation.rankingMetrics(_, b.test))
+        val r = Evaluation.rankingMetrics(Baselines.matrix(spark, b, fs, name), b.test)
         RankRow(name, sc.name, r.hitsAt1, Some(r.hitsAt10), Some(r.mrr))
       }
       progress(s"${sc.name}: ranking ceaff")
@@ -197,7 +197,7 @@ object Experiments {
       val rows = baseRows ++ Seq(
         RankRow("ceaffNoC", sc.name, indep.hitsAt1, Some(indep.hitsAt10), Some(indep.mrr)),
         RankRow("ceaff", sc.name, collAcc, None, None))
-      daa.unpersist(); fused.unpersist(); fs.unpersistAll(); b.unpersistAll()
+      fused.unpersist(); fs.unpersistAll(); b.unpersistAll()
       rows
     }
 

@@ -12,16 +12,13 @@ class BaselinesSpec extends SparkSpec with Fixtures {
   test("every roster baseline produces a full test-domain matrix") {
     val n = dense.test.count()
     Baselines.names.foreach { name =>
-      Baselines.withMatrix(spark, dense, fsDense, name) { m =>
-        assert(m.count() == n * n, s"$name matrix incomplete")
-      }
+      assert(Baselines.matrix(spark, dense, fsDense, name).count() == n * n,
+        s"$name matrix incomplete")
     }
   }
 
   test("the standard structural baseline is CEAFF's own M^s") {
-    Baselines.withMatrix(spark, dense, fsDense, "structStandard") { m =>
-      assert(m eq fsDense.ms)
-    }
+    assert(Baselines.matrix(spark, dense, fsDense, "structStandard") eq fsDense.ms)
   }
 
   test("every baseline releases the caches it makes") {
@@ -49,7 +46,7 @@ class BaselinesSpec extends SparkSpec with Fixtures {
 
   test("unknown baseline name is rejected") {
     intercept[IllegalArgumentException] {
-      Baselines.withMatrix(spark, dense, fsDense, "nope")(identity)
+      Baselines.matrix(spark, dense, fsDense, "nope")
     }
   }
 
