@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 
 /** Result of one fusion step: per-feature adaptive weights (summing to 1)
   * and the fused similarity matrix `Σ w_k · M^k`.
@@ -28,16 +27,12 @@ object AdaptiveFusion {
   val DefaultTheta1 = 0.98
   val DefaultTheta2 = 0.1
 
-  /** A confident cell of one feature, collected to the driver. Not
-    * `private`: Spark's generated decoder must reach the class.
-    */
-  private[core] final case class Cell(feature: String, src: Long, dst: Long, score: Double)
+  /** A confident cell of one feature. */
+  private final case class Cell(feature: String, src: Long, dst: Long, score: Double)
 
-  /** Compute adaptive weights for `features` (name → matrix).
+  /** Compute adaptive weights for `features` (name → matrix), each
+    * collected to the driver once ([[weightsOf]]).
     *
-    * Spark finds each feature's confident cells, the one step that reads
-    * all n² cells; there are at most about one per source entity, so the
-    * filters and sums below run on the driver over the collected cells.
     * Set `theta1 = ∞` for the paper's "w/o θ1, θ2" ablation: then every
     * cell weighs `1/n`.
     *
@@ -46,19 +41,25 @@ object AdaptiveFusion {
     */
   def adaptiveWeights(spark: SparkSession, features: Seq[(String, DataFrame)],
                       theta1: Double = DefaultTheta1,
-                      theta2: Double = DefaultTheta2): Map[String, Double] = {
-    import spark.implicits._
+                      theta2: Double = DefaultTheta2): Map[String, Double] =
+    weightsOf(collect(features), theta1, theta2)
+
+  /** [[adaptiveWeights]] on the driver. Each feature's confident cells
+    * are found by one pass over its array; there are about one per source
+    * entity, and the filters and sums below run over them.
+    */
+  def weightsOf(features: Seq[(String, LocalMatrix)], theta1: Double, theta2: Double): Map[String, Double] = {
     require(features.nonEmpty, "no features to fuse")
     val k = features.size
     if (k == 1) return Map(features.head._1 -> 1.0)
 
     // Zero-score cells are never evidence: on sparse KGs an all-zero row
     // and column tie pairwise and would flood the candidate set. Sorted so
-    // the sums below add in the same order whatever the partitioning.
+    // the sums below add in one fixed order.
     val candidates = features.flatMap { case (name, m) =>
-      SimilarityMatrix.confidentCells(m).filter(col("score") > 0)
-        .select(lit(name).as("feature"), col("src"), col("dst"), col("score"))
-        .as[Cell].collect()
+      SimilarityMatrix.confident(m).collect {
+        case i if m.score(i) > 0 => Cell(name, m.src(i), m.dst(i), m.score(i))
+      }
     }.sortBy(c => (c.feature, c.src, c.dst))
 
     // Conflict filter: a source entity for which the features (or a tie
@@ -80,12 +81,20 @@ object AdaptiveFusion {
     else features.map { case (f, _) => f -> sums.getOrElse(f, 0.0) / total }.toMap
   }
 
-  /** Adaptive fusion of `features` into one matrix. */
+  /** Adaptive fusion of `features` into one matrix. Each input is
+    * collected once, and the same arrays give the weights and the sum.
+    */
   def fuse(spark: SparkSession, features: Seq[(String, DataFrame)],
            theta1: Double = DefaultTheta1, theta2: Double = DefaultTheta2): FusionResult = {
-    val w = adaptiveWeights(spark, features, theta1, theta2)
-    FusionResult(w, SimilarityMatrix.weightedSum(spark,
-      features.map { case (name, m) => (m, w(name)) }))
+    val (w, fused) = fuseOf(collect(features), theta1, theta2)
+    FusionResult(w, fused.toDF(spark))
+  }
+
+  /** [[fuse]] on the driver: the adaptive weights and the fused matrix. */
+  def fuseOf(features: Seq[(String, LocalMatrix)], theta1: Double,
+             theta2: Double): (Map[String, Double], LocalMatrix) = {
+    val w = weightsOf(features, theta1, theta2)
+    (w, SimilarityMatrix.weightedSum(features.map { case (name, m) => (m, w(name)) }))
   }
 
   /** Fixed equal-weight fusion — the paper's "w/o AFF" ablation. */
@@ -97,10 +106,22 @@ object AdaptiveFusion {
     */
   def fuseFixed(spark: SparkSession, features: Seq[(String, DataFrame)],
                 weights: Map[String, Double]): FusionResult = {
+    val (w, fused) = fuseFixedOf(collect(features), weights)
+    FusionResult(w, fused.toDF(spark))
+  }
+
+  /** [[fuseFixed]] on the driver: the normalised weights and the fused
+    * matrix.
+    */
+  def fuseFixedOf(features: Seq[(String, LocalMatrix)],
+                  weights: Map[String, Double]): (Map[String, Double], LocalMatrix) = {
     val total = features.map { case (n, _) => weights(n) }.sum
     require(total > 0, s"non-positive total weight: $weights")
     val norm = weights.map { case (n, w) => n -> w / total }
-    FusionResult(norm, SimilarityMatrix.weightedSum(spark,
-      features.map { case (n, m) => (m, norm(n)) }))
+    (norm, SimilarityMatrix.weightedSum(features.map { case (n, m) => (m, norm(n)) }))
   }
+
+  /** Each feature matrix collected to the driver once. */
+  private def collect(features: Seq[(String, DataFrame)]): Seq[(String, LocalMatrix)] =
+    features.map { case (name, m) => name -> LocalMatrix.of(m) }
 }

@@ -132,42 +132,48 @@ object Ceaff {
     * single-stage fusion of whatever is enabled.
     */
   def fuse(spark: SparkSession, fs: FeatureSet, cfg: CeaffConfig): FusionResult = {
+    val (w, fused) = fuseOf(fs, cfg)
+    FusionResult(w, fused.toDF(spark))
+  }
+
+  /** [[fuse]] on the driver: each enabled feature matrix is collected
+    * once, and both stages run on the collected arrays.
+    */
+  private def fuseOf(fs: FeatureSet, cfg: CeaffConfig): (Map[String, Double], LocalMatrix) = {
     val names = cfg.featureNames
     require(names.nonEmpty, "at least one feature must be enabled")
-    val feats = names.map(n => n -> fs.matrix(n))
+    val feats = names.map(n => n -> LocalMatrix.of(fs.matrix(n)))
 
     cfg.fixedWeights match {
-      case Some(w) => AdaptiveFusion.fuseFixed(spark, feats, w)
-      case None if !cfg.adaptive => AdaptiveFusion.fuseEqual(spark, feats)
+      case Some(w) => AdaptiveFusion.fuseFixedOf(feats, w)
+      case None if !cfg.adaptive => AdaptiveFusion.fuseFixedOf(feats, names.map(_ -> 1.0).toMap)
       case None if cfg.useSemantic && cfg.useString =>
-        val textual = AdaptiveFusion.fuse(spark,
-          Seq(Sem -> fs.mn, Str -> fs.ml), cfg.theta1, cfg.theta2)
-        if (!cfg.useStruct) textual
+        val m = feats.toMap
+        val (wt, textual) = AdaptiveFusion.fuseOf(
+          Seq(Sem -> m(Sem), Str -> m(Str)), cfg.theta1, cfg.theta2)
+        if (!cfg.useStruct) (wt, textual)
         else {
-          val fin = AdaptiveFusion.fuse(spark,
-            Seq(Struct -> fs.ms, Textual -> textual.fused), cfg.theta1, cfg.theta2)
+          val (w, fused) = AdaptiveFusion.fuseOf(
+            Seq(Struct -> m(Struct), Textual -> textual), cfg.theta1, cfg.theta2)
           // Report flattened effective weights for interpretability.
-          val wt = fin.weights(Textual)
-          val flat = Map(
-            Struct -> fin.weights(Struct),
-            Sem -> wt * textual.weights(Sem),
-            Str -> wt * textual.weights(Str))
-          FusionResult(flat, fin.fused)
+          (Map(Struct -> w(Struct), Sem -> w(Textual) * wt(Sem), Str -> w(Textual) * wt(Str)), fused)
         }
       case None => // adaptive, but fewer than {sem, str} enabled
-        AdaptiveFusion.fuse(spark, feats, cfg.theta1, cfg.theta2)
+        AdaptiveFusion.fuseOf(feats, cfg.theta1, cfg.theta2)
     }
   }
 
   /** Decision step: stable matching (collective) or row-argmax. */
-  def align(spark: SparkSession, fused: DataFrame, cfg: CeaffConfig): DataFrame =
-    if (cfg.collective) StableMatching.daa(spark, fused)
-    else SimilarityMatrix.greedyMatch(fused)
+  def align(fused: LocalMatrix, cfg: CeaffConfig): Seq[(Long, Long)] =
+    if (cfg.collective) StableMatching.deferredAcceptance(fused)
+    else SimilarityMatrix.rowArgmax(fused)
 
-  /** Run fusion + alignment on precomputed features. */
+  /** Run fusion + alignment on precomputed features. The decision stage
+    * runs on the driver, so the result's matches and fused matrix are
+    * local relations.
+    */
   def run(spark: SparkSession, fs: FeatureSet, cfg: CeaffConfig): CeaffResult = {
-    val fr = fuse(spark, fs, cfg)
-    val fused = fr.fused.cache()
-    CeaffResult(align(spark, fused, cfg), fused, fr.weights)
+    val (w, fused) = fuseOf(fs, cfg)
+    CeaffResult(LocalMatrix.pairsDF(spark, align(fused, cfg)), fused.toDF(spark), w)
   }
 }

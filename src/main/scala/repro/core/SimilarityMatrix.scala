@@ -1,8 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.{broadcast, col}
 
 /** Operations on similarity matrices.
   *
@@ -12,11 +11,14 @@ import org.apache.spark.sql.functions._
   * columns target entities; training (seed) entities are excluded, as in
   * the paper (§VII).
   *
-  * Every matrix built on [[testDomain]] is hash-partitioned by `src`: its
-  * cells are scored in place against broadcast entity tables
-  * ([[EntityTables]]), which keeps that partitioning. Row-wise steps
-  * (weighted sums, row argmax, ranks, row maxima) then run without moving
-  * cells.
+  * Only scoring runs on Spark. Every matrix built on [[testDomain]] is
+  * hash-partitioned by `src`, and its cells are scored in place against
+  * broadcast entity tables ([[EntityTables]]). The decision steps (row
+  * argmax, confident cells, weighted sums) collect a matrix to the driver
+  * once, as a [[LocalMatrix]], and run there on plain arrays; a matrix or
+  * matching they return is a local relation, which costs no Spark job.
+  * Each step has a driver form over [[LocalMatrix]] that the pipeline
+  * calls directly, so it collects each feature matrix only once.
   */
 object SimilarityMatrix {
 
@@ -51,37 +53,67 @@ object SimilarityMatrix {
     * the highest-scoring target; ties broken towards the smallest target
     * id for determinism. Returns `(src, dst)`.
     */
-  def greedyMatch(m: DataFrame): DataFrame = {
-    val w = Window.partitionBy("src").orderBy(desc("score"), asc("dst"))
-    m.withColumn("rn", row_number().over(w))
-      .filter(col("rn") === 1)
-      .select(col("src"), col("dst"))
-  }
+  def greedyMatch(m: DataFrame): DataFrame =
+    LocalMatrix.pairsDF(m.sparkSession, rowArgmax(LocalMatrix.of(m)))
+
+  /** [[greedyMatch]] on the driver: one scan of each row, keeping the
+    * first (smallest-target) cell of the highest score.
+    */
+  def rowArgmax(m: LocalMatrix): Seq[(Long, Long)] =
+    (0 until m.rows).map { r =>
+      val best = (r * m.cols until (r + 1) * m.cols).filter(i => !m.score(i).isNaN)
+        .reduce((a, b) => if (m.score(b) > m.score(a)) b else a)
+      (m.srcs(r), m.dst(best))
+    }
 
   /** Cells that are the maximum of both their row and their column — the
     * paper's *confident correspondences* for one feature (§V). Ties keep
-    * every maximal cell; downstream conflict filtering handles them. The
-    * row maximum is taken first, within the `src` partitions; only the
-    * column maximum moves cells.
+    * every maximal cell; downstream conflict filtering handles them.
     */
   def confidentCells(m: DataFrame): DataFrame = {
-    def maxOver(key: String): Column = max("score").over(Window.partitionBy(key))
-    m.select(col("src"), col("dst"), col("score"), maxOver("src").as("rmax"))
-      .withColumn("cmax", maxOver("dst"))
-      .filter(col("score") === col("rmax") && col("score") === col("cmax"))
-      .select(col("src"), col("dst"), col("score"))
+    val lm = LocalMatrix.of(m)
+    lm.toDF(m.sparkSession, confident(lm))
+  }
+
+  /** [[confidentCells]] on the driver: the indices of the cells equal to
+    * both their row's and their column's maximum, in (src, dst) order.
+    */
+  def confident(m: LocalMatrix): Array[Int] = {
+    val rmax = Array.fill(m.rows)(Double.NegativeInfinity)
+    val cmax = Array.fill(m.cols)(Double.NegativeInfinity)
+    val cells = m.cells
+    cells.foreach { i =>
+      val v = m.score(i)
+      if (v > rmax(i / m.cols)) rmax(i / m.cols) = v
+      if (v > cmax(i % m.cols)) cmax(i % m.cols) = v
+    }
+    cells.filter(i => m.score(i) == rmax(i / m.cols) && m.score(i) == cmax(i % m.cols))
   }
 
   /** Weighted sum `Σ wᵢ·Mᵢ` of matrices over a shared domain. Missing
     * cells contribute 0, so the result is the union of the inputs'
     * supports.
     */
-  def weightedSum(spark: SparkSession, terms: Seq[(DataFrame, Double)]): DataFrame = {
+  def weightedSum(spark: SparkSession, terms: Seq[(DataFrame, Double)]): DataFrame =
+    weightedSum(terms.map { case (m, w) => (LocalMatrix.of(m), w) }).toDF(spark)
+
+  /** [[weightedSum]] on the driver. Each cell adds `0.0 + w₁·a + w₂·b + …`
+    * over the terms that have it, in term order.
+    */
+  def weightedSum(terms: Seq[(LocalMatrix, Double)]): LocalMatrix = {
     require(terms.nonEmpty, "weightedSum of no matrices")
-    terms.map { case (m, w) =>
-      m.select(col("src"), col("dst"), (col("score") * lit(w)).as("score"))
-    }.reduce(_ union _)
-      .groupBy("src", "dst")
-      .agg(sum("score").as("score"))
+    val srcs = LocalMatrix.ids(terms.flatMap(_._1.srcs).toArray)
+    val dsts = LocalMatrix.ids(terms.flatMap(_._1.dsts).toArray)
+    val out = Array.fill(srcs.length * dsts.length)(Double.NaN)
+    for ((m, w) <- terms) {
+      val rowOf = m.srcs.map(java.util.Arrays.binarySearch(srcs, _))
+      val colOf = m.dsts.map(java.util.Arrays.binarySearch(dsts, _))
+      m.cells.foreach { i =>
+        val o = rowOf(i / m.cols) * dsts.length + colOf(i % m.cols)
+        out(o) = (if (out(o).isNaN) 0.0 else out(o)) + m.score(i) * w
+        require(!out(o).isNaN, s"weighted sum is NaN at (${srcs(o / dsts.length)}, ${dsts(o % dsts.length)})")
+      }
+    }
+    new LocalMatrix(srcs, dsts, out)
   }
 }

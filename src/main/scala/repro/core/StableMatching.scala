@@ -1,9 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.{asc, desc}
 import scala.collection.mutable
-import scala.jdk.CollectionConverters._
 
 /** Collective EA as the Stable Matching Problem (paper §VI).
   *
@@ -29,7 +27,8 @@ object StableMatching {
     * pair blocks every matching that omits it, so it belongs to every
     * stable matching. Matching it and repeating on the rest gives the
     * unique stable matching, which is the greedy matching in global
-    * order: one Spark sort, then a streaming scan on the driver.
+    * order: the matrix is collected once, then sorted and scanned on the
+    * driver ([[deferredAcceptance]]).
     *
     * @param m similarity matrix `(src, dst, score)`; preference lists must
     *          be complete over the matrix's support
@@ -37,23 +36,36 @@ object StableMatching {
     * @throws IllegalArgumentException if the lists are incomplete and
     *         fewer pairs can be matched
     */
-  def daa(spark: SparkSession, m: DataFrame): DataFrame = {
-    import spark.implicits._
-    val srcs = mutable.Set.empty[Long]
-    val dsts = mutable.Set.empty[Long]
-    val matchedDst = mutable.Set.empty[Long]
-    val matched = mutable.LinkedHashMap.empty[Long, Long]
-    m.select("src", "dst", "score").as[(Long, Long, Double)]
-      .orderBy(desc("score"), asc("src"), asc("dst"))
-      .toLocalIterator().asScala
-      .foreach { case (s, d, _) =>
-        srcs += s; dsts += d
-        if (!matched.contains(s) && !matchedDst(d)) { matched(s) = d; matchedDst += d }
+  def daa(spark: SparkSession, m: DataFrame): DataFrame =
+    LocalMatrix.pairsDF(spark, deferredAcceptance(LocalMatrix.of(m)))
+
+  /** [[daa]] on the driver, in match order. */
+  def deferredAcceptance(m: LocalMatrix): Seq[(Long, Long)] = {
+    val cells = m.cells
+    // A cell index already orders (src asc, dst asc). The high half of its
+    // sort key is a position of its score among all scores sorted: equal
+    // scores find the same position, higher scores a later one.
+    val scores = cells.map(m.score)
+    java.util.Arrays.sort(scores)
+    val keys = cells.map { i =>
+      (scores.length - 1 - java.util.Arrays.binarySearch(scores, m.score(i)).toLong) << 32 | i
+    }
+    java.util.Arrays.sort(keys)
+    val srcMatched = new Array[Boolean](m.rows)
+    val dstMatched = new Array[Boolean](m.cols)
+    val matched = Seq.newBuilder[(Long, Long)]
+    var n = 0
+    keys.foreach { key =>
+      val i = key.toInt
+      val (r, c) = (i / m.cols, i % m.cols)
+      if (!srcMatched(r) && !dstMatched(c)) {
+        srcMatched(r) = true; dstMatched(c) = true
+        matched += ((m.srcs(r), m.dsts(c))); n += 1
       }
-    val target = math.min(srcs.size, dsts.size)
-    require(matched.size == target,
-      s"incomplete preference lists: matched ${matched.size} of $target pairs")
-    matched.toSeq.toDF("src", "dst")
+    }
+    val target = math.min(m.rows, m.cols)
+    require(n == target, s"incomplete preference lists: matched $n of $target pairs")
+    matched.result()
   }
 
   /** Sequential Gale–Shapley on the driver with identical tie-breaking —

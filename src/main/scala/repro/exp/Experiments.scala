@@ -81,12 +81,8 @@ object Experiments {
     */
   def accuracies(spark: SparkSession, b: EaBenchmark): Seq[(String, Double)] = {
     val fs = Ceaff.features(spark, b)
-    def ceaff(cfg: CeaffConfig): Double = {
-      val r = Ceaff.run(spark, fs, cfg)
-      val a = Evaluation.accuracy(r.matches, b.test)
-      r.fused.unpersist()
-      a
-    }
+    def ceaff(cfg: CeaffConfig): Double =
+      Evaluation.accuracy(Ceaff.run(spark, fs, cfg).matches, b.test)
     val out = accuracyMethods.map { m =>
       progress(s"${b.scenario.name}: running $m")
       m -> (m match {
@@ -154,13 +150,11 @@ object Experiments {
       val a = Evaluation.accuracy(r.matches, b.test)
       progress(s"${b.scenario.name}: '$name' acc=$a weights=${
         r.weights.view.mapValues(w => f"$w%.3f").toMap}")
-      r.fused.unpersist()
       name -> a
     }
     val lrWeights = LRFusion.learnWeights(spark, b, fs)
     val lrRun = Ceaff.run(spark, fs, CeaffConfig(fixedWeights = Some(lrWeights)))
     val lrAcc = Evaluation.accuracy(lrRun.matches, b.test)
-    lrRun.fused.unpersist()
     fs.unpersistAll()
     rows :+ ("LR" -> lrAcc)
   }
@@ -190,14 +184,13 @@ object Experiments {
         RankRow(name, sc.name, r.hitsAt1, Some(r.hitsAt10), Some(r.mrr))
       }
       progress(s"${sc.name}: ranking ceaff")
-      val fused = Ceaff.fuse(spark, fs, CeaffConfig()).fused.cache()
-      val indep = Evaluation.rankingMetrics(fused, b.test)
-      val daa = StableMatching.daa(spark, fused)
-      val collAcc = Evaluation.accuracy(daa, b.test)
+      val r = Ceaff.run(spark, fs, CeaffConfig())
+      val indep = Evaluation.rankingMetrics(r.fused, b.test)
+      val collAcc = Evaluation.accuracy(r.matches, b.test)
       val rows = baseRows ++ Seq(
         RankRow("ceaffNoC", sc.name, indep.hitsAt1, Some(indep.hitsAt10), Some(indep.mrr)),
         RankRow("ceaff", sc.name, collAcc, None, None))
-      fused.unpersist(); fs.unpersistAll(); b.unpersistAll()
+      fs.unpersistAll(); b.unpersistAll()
       rows
     }
 

@@ -48,6 +48,15 @@ class AdaptiveFusionSpec extends SparkSpec with Fixtures {
     }
   }
 
+  // A feature whose rows tie across a whole plateau, as ZH-EN's string
+  // matrix does: every plateau cell is confident and its sources conflict.
+  // The other feature partly agrees on the diagonal outside the plateau.
+  private def plateauFeats: Seq[(String, DataFrame)] = Seq(
+    "plateau" -> denseMat(Seq.tabulate(8, 8) { (i, j) =>
+      if (i < 4 && j < 4) 0.5 else if (i == j) 0.7 else 0.1
+    }),
+    randomFeats(1, seed = 9).head)
+
   test("Figure 3: adaptive weights follow the correspondence rules") {
     val w = AdaptiveFusion.adaptiveWeights(spark, feats)
     // scores: ms = 1 (weight 1 for (2,2)); mn = θ2 = 0.1; ml = 1/2 = 0.5
@@ -71,8 +80,9 @@ class AdaptiveFusionSpec extends SparkSpec with Fixtures {
 
   test("oracle: adaptiveWeights agrees with DuckDB on random tied instances") {
     val (th1, th2) = (AdaptiveFusion.DefaultTheta1, AdaptiveFusion.DefaultTheta2)
-    for (k <- Seq(2, 3); seed <- 1 to 6) {
-      val fs = randomFeats(k, seed)
+    val instances = (for (k <- Seq(2, 3); seed <- 1 to 6) yield randomFeats(k, seed)) :+ plateauFeats
+    for (fs <- instances) {
+      val k = fs.size
       val w = AdaptiveFusion.adaptiveWeights(spark, fs)
       Oracle.assertEquivalent(
         w.toSeq.toDF("feature", "w"),

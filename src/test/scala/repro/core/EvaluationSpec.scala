@@ -69,6 +69,19 @@ class EvaluationSpec extends SparkSpec with Fixtures {
     assert(math.abs(r.mrr - 1.0 / 12) < 1e-12)
   }
 
+  test("rankingMetrics gives the same bits at 1 and 8 input partitions") {
+    // Tied scores from seven values; the reciprocal ranks add in gold order.
+    val rnd = new scala.util.Random(5)
+    val n = 30L
+    val m = mat(for (i <- 0L until n; j <- 0L until n) yield (i, j, rnd.nextInt(7) / 7.0))
+    val g = (0L until n).map(i => (i, i * 7 % n)).toDF("src", "dst")
+    val bits = Seq(1, 8).map { p =>
+      val r = Evaluation.rankingMetrics(m.repartition(p), g.repartition(p))
+      Seq(r.hitsAt1, r.hitsAt10, r.mrr).map(java.lang.Double.doubleToRawLongBits)
+    }
+    assert(bits(0) == bits(1))
+  }
+
   test("hits@1 equals greedy accuracy when ranks are unambiguous") {
     val m = denseMat(Seq(Seq(0.9, 0.1, 0.3), Seq(0.2, 0.4, 0.6), Seq(0.1, 0.8, 0.2)))
     val g = Seq((0L, 0L), (1L, 1L), (2L, 2L)).toDF("src", "dst")

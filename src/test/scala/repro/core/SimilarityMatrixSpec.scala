@@ -20,15 +20,15 @@ class SimilarityMatrixSpec extends SparkSpec with Fixtures {
     assert(matchMap(SimilarityMatrix.greedyMatch(tied)) == Map(0L -> 2L))
   }
 
+  private val argmaxSql =
+    """SELECT src, dst FROM (
+      |  SELECT src, dst, row_number() OVER (
+      |    PARTITION BY src
+      |    ORDER BY CAST(score AS DOUBLE) DESC, CAST(dst AS BIGINT) ASC) AS rn
+      |  FROM m) WHERE rn = 1""".stripMargin
+
   test("oracle: greedyMatch agrees with DuckDB window query") {
-    Oracle.assertEquivalent(
-      SimilarityMatrix.greedyMatch(m),
-      """SELECT src, dst FROM (
-        |  SELECT src, dst, row_number() OVER (
-        |    PARTITION BY src
-        |    ORDER BY CAST(score AS DOUBLE) DESC, CAST(dst AS BIGINT) ASC) AS rn
-        |  FROM m) WHERE rn = 1""".stripMargin,
-      "m" -> m)
+    Oracle.assertEquivalent(SimilarityMatrix.greedyMatch(m), argmaxSql, "m" -> m)
   }
 
   test("confidentCells keeps only row-and-column maxima") {
@@ -48,17 +48,45 @@ class SimilarityMatrixSpec extends SparkSpec with Fixtures {
     assert(got == Set((0L, 0L, 0.5), (0L, 1L, 0.5)))
   }
 
+  private val confidentSql =
+    """SELECT m.src AS src, m.dst AS dst, CAST(m.score AS DOUBLE) AS score
+      |FROM m
+      |JOIN (SELECT src, max(CAST(score AS DOUBLE)) AS rmax FROM m GROUP BY src) r
+      |  ON m.src = r.src AND CAST(m.score AS DOUBLE) = r.rmax
+      |JOIN (SELECT dst, max(CAST(score AS DOUBLE)) AS cmax FROM m GROUP BY dst) c
+      |  ON m.dst = c.dst AND CAST(m.score AS DOUBLE) = c.cmax""".stripMargin
+
   test("oracle: confidentCells agrees with DuckDB") {
     Oracle.assertEquivalent(
       SimilarityMatrix.confidentCells(m)
         .select(col("src"), col("dst"), col("score")),
-      """SELECT m.src AS src, m.dst AS dst, CAST(m.score AS DOUBLE) AS score
-        |FROM m
-        |JOIN (SELECT src, max(CAST(score AS DOUBLE)) AS rmax FROM m GROUP BY src) r
-        |  ON m.src = r.src AND CAST(m.score AS DOUBLE) = r.rmax
-        |JOIN (SELECT dst, max(CAST(score AS DOUBLE)) AS cmax FROM m GROUP BY dst) c
-        |  ON m.dst = c.dst AND CAST(m.score AS DOUBLE) = c.cmax""".stripMargin,
-      "m" -> m)
+      confidentSql, "m" -> m)
+  }
+
+  test("oracle: greedyMatch and confidentCells agree with DuckDB on rectangular tied matrices") {
+    // Scores from three values, so rows and columns tie; target ids are
+    // spaced and offset so that no id doubles as an index.
+    val rnd = new scala.util.Random(3)
+    for ((rows, cols) <- Seq((2, 5), (5, 2), (3, 7), (7, 3))) {
+      val r = mat(for (i <- 0 until rows; j <- 0 until cols)
+        yield (i.toLong, 100L + 3 * j, Seq(0.2, 0.5, 0.9)(rnd.nextInt(3))))
+      Oracle.assertEquivalent(SimilarityMatrix.greedyMatch(r), argmaxSql, "m" -> r)
+      Oracle.assertEquivalent(SimilarityMatrix.confidentCells(r), confidentSql, "m" -> r)
+      assert(matchMap(SimilarityMatrix.greedyMatch(r)).size == rows)
+    }
+  }
+
+  test("-0.0 scores equal 0.0, and NaN scores are rejected") {
+    // Spark compares -0.0 and 0.0 as equal: both rows tie at their maximum.
+    val signed = mat(Seq((0L, 5L, 0.0), (0L, 2L, -0.0), (1L, 5L, -0.0), (1L, 2L, -0.5)))
+    assert(matchMap(SimilarityMatrix.greedyMatch(signed)) == Map(0L -> 2L, 1L -> 5L))
+    val conf = cells(SimilarityMatrix.confidentCells(signed))
+    assert(conf.map { case (s, d, _) => (s, d) }.toSet == Set((0L, 2L), (0L, 5L), (1L, 5L)))
+    assert(conf.forall { case (_, _, v) => v == 0.0 })
+    val nan = mat(Seq((0L, 0L, 0.5), (0L, 1L, Double.NaN)))
+    intercept[IllegalArgumentException](SimilarityMatrix.greedyMatch(nan))
+    intercept[IllegalArgumentException](SimilarityMatrix.confidentCells(nan))
+    intercept[IllegalArgumentException](SimilarityMatrix.weightedSum(spark, Seq(nan -> 1.0)))
   }
 
   test("weightedSum combines matrices cell-wise") {
@@ -74,6 +102,18 @@ class SimilarityMatrixSpec extends SparkSpec with Fixtures {
     val b = mat(Seq((0L, 1L, 1.0)))
     val got = cells(SimilarityMatrix.weightedSum(spark, Seq(a -> 0.5, b -> 0.5))).toSet
     assert(got == Set((0L, 0L, 0.5), (0L, 1L, 0.5)))
+  }
+
+  test("weightedSum adds 0.0 + w1·a + w2·b + … in term order over the union of supports") {
+    // With unit weights, (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in
+    // their last bit; cells (0,1), (1,1) and (2,5) lie in some terms only.
+    val a = mat(Seq((0L, 0L, 0.1), (0L, 1L, 0.7), (2L, 5L, 0.3)))
+    val b = mat(Seq((0L, 0L, 0.2), (1L, 1L, 0.4)))
+    val c = mat(Seq((0L, 0L, 0.3), (2L, 5L, -0.0)))
+    val got = cells(SimilarityMatrix.weightedSum(spark, Seq(a -> 1.0, b -> 1.0, c -> 1.0)))
+      .map { case (s, d, v) => (s, d) -> java.lang.Double.doubleToRawLongBits(v) }.toMap
+    val want = Map((0L, 0L) -> (0.0 + 0.1 + 0.2 + 0.3), (0L, 1L) -> 0.7, (1L, 1L) -> 0.4, (2L, 5L) -> 0.3)
+    assert(got == want.map { case (k, v) => k -> java.lang.Double.doubleToRawLongBits(v) })
   }
 
   test("oracle: weightedSum agrees with DuckDB full-outer sum") {

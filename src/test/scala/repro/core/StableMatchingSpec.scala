@@ -133,6 +133,20 @@ class StableMatchingSpec extends SparkSpec with Fixtures {
     assert(matchMap(StableMatching.daa(spark, mat(tied))) == expected)
   }
 
+  test("distributed DAA leaves the surplus sources of a tall tied matrix unmatched") {
+    // 3 sources, 2 targets, all cells tied: the id tie-break matches
+    // (0,0) and (1,1), and source 2 stays unmatched.
+    val tied = for (i <- 0L until 3L; j <- 0L until 2L) yield (i, j, 0.5)
+    assert(StableMatching.referenceDaa(tied) == Map(0L -> 0L, 1L -> 1L))
+    assert(matchMap(StableMatching.daa(spark, mat(tied))) == Map(0L -> 0L, 1L -> 1L))
+  }
+
+  test("distributed DAA orders -0.0 and 0.0 as equal") {
+    // With -0.0 below 0.0, (0,1) and (1,0) would come first.
+    val m = Seq((0L, 0L, -0.0), (0L, 1L, 0.0), (1L, 0L, 0.0), (1L, 1L, -0.0))
+    assert(matchMap(StableMatching.daa(spark, mat(m))) == Map(0L -> 0L, 1L -> 1L))
+  }
+
   test("distributed DAA on a larger instance is perfect and stable") {
     val rnd = new scala.util.Random(11)
     val n = 40
