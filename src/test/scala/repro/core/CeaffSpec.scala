@@ -140,7 +140,7 @@ class CeaffSpec extends SparkSpec with Fixtures {
     }
   }
 
-  test("a full run and its accuracy collect each feature matrix and the gold pairs once") {
+  test("a full run and its accuracy collect each feature matrix and gold pairs once") {
     // Fill the feature and gold caches first: only the run's own jobs count.
     Seq(fsCross.ms, fsCross.mn, fsCross.ml, cross.test).foreach(_.count())
     val (_, jobs) = JobCount(spark.sparkContext) {
