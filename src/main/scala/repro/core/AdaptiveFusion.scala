@@ -81,16 +81,9 @@ object AdaptiveFusion {
     else features.map { case (f, _) => f -> sums.getOrElse(f, 0.0) / total }.toMap
   }
 
-  /** Adaptive fusion of `features` into one matrix. Each input is
-    * collected once, and the same arrays give the weights and the sum.
+  /** Adaptive fusion of `features` into one matrix, on the driver: the
+    * adaptive weights and the weighted sum, from the same arrays.
     */
-  def fuse(spark: SparkSession, features: Seq[(String, DataFrame)],
-           theta1: Double = DefaultTheta1, theta2: Double = DefaultTheta2): FusionResult = {
-    val (w, fused) = fuseOf(collect(features), theta1, theta2)
-    FusionResult(w, fused.toDF(spark))
-  }
-
-  /** [[fuse]] on the driver: the adaptive weights and the fused matrix. */
   def fuseOf(features: Seq[(String, LocalMatrix)], theta1: Double,
              theta2: Double): (Map[String, Double], LocalMatrix) = {
     val w = weightsOf(features, theta1, theta2)

@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.SparkSession
 import repro.kg.EaBenchmark
 import repro.text.HashVectors
 
@@ -40,16 +39,13 @@ object Baselines {
     * and column (mutual best matches — BootEA's one-to-one constrained
     * strategy) are promoted to anchor pairs and propagation is re-run.
     */
-  private def bootstrapMatrix(spark: SparkSession, b: EaBenchmark, fs: FeatureSet): DataFrame = {
-    import spark.implicits._
+  private def bootstrapMatrix(spark: SparkSession, b: EaBenchmark, fs: FeatureSet): LocalMatrix = {
     // Only unambiguous mutual-best pairs may become anchors: positive
     // score, and a source/target that appears in exactly one confident
     // cell (zero rows/columns on sparse KGs otherwise tie pairwise and
-    // would flood the seed set with conflicting k² pairs). There are
-    // about as many confident cells as source entities, so the
-    // uniqueness filter runs on the driver.
-    val cand = SimilarityMatrix.confidentCells(fs.ms).filter(col("score") > 0)
-      .select(col("src"), col("dst")).as[(Long, Long)].collect()
+    // would flood the seed set with conflicting k² pairs).
+    val ms = fs.local(Ceaff.Struct)
+    val cand = SimilarityMatrix.confident(ms).filter(ms.score(_) > 0).map(i => (ms.src(i), ms.dst(i)))
     val perSrc = cand.groupMapReduce(_._1)(_ => 1)(_ + _)
     val perDst = cand.groupMapReduce(_._2)(_ => 1)(_ + _)
     val extra = cand.filter { case (s, d) => perSrc(s) == 1 && perDst(d) == 1 }.distinct
@@ -63,34 +59,32 @@ object Baselines {
     * the feature mix is frozen into the representation (implicitly
     * equal-weighted, norm-coupled, stringless), so feature-specific
     * detail cannot be re-weighted at decision time. The unified vectors
-    * are built on the driver from `fs`'s embeddings.
+    * are built from `fs`'s embeddings and scored over `fs`'s test domain.
     */
-  private def repFusionMatrix(b: EaBenchmark, fs: FeatureSet): DataFrame = {
-    def unified(se: DataFrame, ne: DataFrame): EntityTables.Vectors = {
-      val names = EntityTables.vectors(ne)
-      EntityTables.vectors(se).collect { case (id, sv) if names.contains(id) =>
-        id -> (HashVectors.normalize(sv) ++ HashVectors.normalize(names(id)))
+  private def repFusionMatrix(fs: FeatureSet): LocalMatrix = {
+    def unified(se: EntityTables.Vectors, ne: EntityTables.Vectors): EntityTables.Vectors =
+      se.collect { case (id, sv) if ne.contains(id) =>
+        id -> (HashVectors.normalize(sv) ++ HashVectors.normalize(ne(id)))
       }
-    }
-    SimilarityMatrix.cosines(unified(fs.structEmb1, fs.semEmb1),
-      unified(fs.structEmb2, fs.semEmb2), SimilarityMatrix.testDomain(b.test))
+    val (u1, u2) = (unified(fs.struct1, fs.sem1), unified(fs.struct2, fs.sem2))
+    fs.local(Ceaff.Struct).tabulate((s, d) => EntityTables.cosine(u1, u2, s, d))
   }
 
-  /** The similarity matrix of a named baseline, scored on `fs`: an
-    * uncached plan, or one of `fs`'s own matrices. A baseline makes no
-    * cache.
+  /** The similarity matrix of a named baseline, scored on `fs` on the
+    * driver, or one of `fs`'s own matrices.
     */
-  def matrix(spark: SparkSession, b: EaBenchmark, fs: FeatureSet, name: String): DataFrame =
+  def matrix(spark: SparkSession, b: EaBenchmark, fs: FeatureSet, name: String): LocalMatrix =
     name match {
       case "structShallow"   => StructuralFeature.matrix(spark, b, layers = 1)
-      case "structStandard"  => fs.ms
+      case "structStandard"  => fs.local(Ceaff.Struct)
       case "structDeep"      => StructuralFeature.matrix(spark, b, layers = 3)
       case "structBootstrap" => bootstrapMatrix(spark, b, fs)
-      case "repFusion"       => repFusionMatrix(b, fs)
+      case "repFusion"       => repFusionMatrix(fs)
       case other => throw new IllegalArgumentException(s"unknown baseline '$other'")
     }
 
   /** Independent-decision accuracy of a named baseline. */
   def accuracy(spark: SparkSession, b: EaBenchmark, fs: FeatureSet, name: String): Double =
-    Evaluation.accuracy(SimilarityMatrix.greedyMatch(matrix(spark, b, fs, name)), b.test)
+    Evaluation.accuracy(
+      LocalMatrix.pairsDF(spark, SimilarityMatrix.rowArgmax(matrix(spark, b, fs, name))), b.test)
 }

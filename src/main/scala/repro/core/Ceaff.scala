@@ -36,36 +36,66 @@ final case class CeaffConfig(
 }
 
 /** The three feature similarity matrices over the test domain, plus the
-  * underlying embedding tables (kept so the baselines and the LR trainer
-  * reuse them instead of recomputing embeddings). The caller of
-  * [[Ceaff.features]] owns every cache here and releases them with
-  * [[unpersistAll]].
+  * embeddings they were scored from (kept so the baselines and the LR
+  * trainer reuse them instead of recomputing embeddings), all on the
+  * driver: [[local]] gives a matrix as a [[LocalMatrix]], and [[ms]],
+  * [[mn]] and [[ml]] the same matrices as DataFrames.
   *
-  * The seven matrix and embedding fields are all a feature set needs; one
-  * built from them alone works everywhere. [[Ceaff.features]] also sets
-  * `table`, the cached score table `ms`, `mn` and `ml` are column views
-  * of, so that [[unpersistAll]] releases it.
+  * [[Ceaff.features]] builds one on the driver; its DataFrames are local
+  * relations, built on first read, and it holds no cache. One built from
+  * its seven DataFrames ([[FeatureSet.apply]]) collects each of them once,
+  * on first read of its driver form; its DataFrames are those seven,
+  * which stay the caller's, and [[unpersistAll]] releases them.
   */
-final case class FeatureSet(
-    structEmb1: DataFrame, structEmb2: DataFrame,
-    semEmb1: DataFrame, semEmb2: DataFrame,
-    ms: DataFrame, mn: DataFrame, ml: DataFrame,
-    table: Option[DataFrame] = None) {
+final class FeatureSet(
+    struct1Of: => EntityTables.Vectors, struct2Of: => EntityTables.Vectors,
+    sem1Of: => EntityTables.Vectors, sem2Of: => EntityTables.Vectors,
+    matricesOf: => Map[String, LocalMatrix], frame: String => DataFrame,
+    owned: Seq[DataFrame]) {
+  lazy val struct1: EntityTables.Vectors = struct1Of
+  lazy val struct2: EntityTables.Vectors = struct2Of
+  lazy val sem1: EntityTables.Vectors = sem1Of
+  lazy val sem2: EntityTables.Vectors = sem2Of
+  private lazy val matrices = matricesOf
+  /** Feature `name`'s matrix on the driver. */
+  def local(name: String): LocalMatrix =
+    matrices.getOrElse(name, throw new IllegalArgumentException(s"unknown feature '$name'"))
+  lazy val ms: DataFrame = frame(Ceaff.Struct)
+  lazy val mn: DataFrame = frame(Ceaff.Sem)
+  lazy val ml: DataFrame = frame(Ceaff.Str)
   def matrix(name: String): DataFrame = name match {
     case Ceaff.Struct => ms
     case Ceaff.Sem    => mn
     case Ceaff.Str    => ml
     case other        => throw new IllegalArgumentException(s"unknown feature '$other'")
   }
-  def unpersistAll(): Unit =
-    (Seq(structEmb1, structEmb2, semEmb1, semEmb2, ms, mn, ml) ++ table).foreach(_.unpersist())
+  def unpersistAll(): Unit = owned.foreach(_.unpersist())
 }
 
-/** Outcome of one CEAFF run. */
-final case class CeaffResult(
-    matches: DataFrame,             // (src, dst)
-    fused: DataFrame,               // fused similarity matrix
-    weights: Map[String, Double])   // effective per-feature weights
+object FeatureSet {
+
+  /** A feature set from its embedding tables `(id, vec)` and matrices
+    * `(src, dst, score)`, each collected to the driver once, when first
+    * read.
+    */
+  def apply(structEmb1: DataFrame, structEmb2: DataFrame,
+            semEmb1: DataFrame, semEmb2: DataFrame,
+            ms: DataFrame, mn: DataFrame, ml: DataFrame): FeatureSet = {
+    import EntityTables.vectors
+    val frames = Map(Ceaff.Struct -> ms, Ceaff.Sem -> mn, Ceaff.Str -> ml)
+    new FeatureSet(vectors(structEmb1), vectors(structEmb2), vectors(semEmb1), vectors(semEmb2),
+      frames.map { case (n, m) => n -> LocalMatrix.of(m) }, frames,
+      Seq(structEmb1, structEmb2, semEmb1, semEmb2, ms, mn, ml))
+  }
+}
+
+/** Outcome of one CEAFF run: the matching `(src, dst)`, the fused
+  * similarity matrix on the driver and the effective per-feature weights.
+  */
+final case class CeaffResult(matches: DataFrame, local: LocalMatrix, weights: Map[String, Double]) {
+  /** The fused matrix as a local relation, built on first read. */
+  lazy val fused: DataFrame = local.toDF(matches.sparkSession)
+}
 
 /** End-to-end CEAFF pipeline (paper Fig. 2): feature generation →
   * adaptive two-stage fusion → collective alignment.
@@ -79,70 +109,51 @@ object Ceaff {
   /** Compute all three features for a benchmark, in three steps:
     *
     *  1. the names, and their embeddings averaged from the collected
-    *     dictionaries ([[SemanticFeature.average]]), on the driver;
+    *     dictionaries ([[SemanticFeature.embedNames]]), on the driver;
     *  2. both KGs' structural vectors, propagated on the driver over the
     *     collected names' ids ([[StructuralFeature.embedBoth]]);
-    *  3. one cached score table `(src, dst, struct, sem, str)` over the
-    *     test domain, each cell scored against the broadcast tables.
+    *  3. each feature's matrix, every cell of the test domain scored on the
+    *     driver from those tables ([[EntityTables.score]]).
     *
-    * `ms`, `mn` and `ml` are column views of that table, and the
-    * embedding fields are local relations.
+    * Nothing is cached: the feature set holds every matrix and embedding
+    * on the driver.
     */
   def features(spark: SparkSession, b: EaBenchmark): FeatureSet = {
     import spark.implicits._
-    def side(names: DataFrame, dict: DataFrame): (EntityTables.Vectors, Map[Long, String]) = {
-      val vectors = SemanticFeature.dictionary(dict)
-      val rows = names.select(col("id"), col("name"), col("tokens"))
-        .as[(Long, String, Seq[String])].collect()
-      (rows.map { case (id, _, t) => id -> SemanticFeature.average(t, vectors, BenchmarkGen.Dim) }.toMap,
-       rows.map { case (id, n, _) => id -> n }.toMap)
-    }
-    val (sem1, names1) = side(b.names1, b.dict1)
-    val (sem2, names2) = side(b.names2, b.dict2)
+    val (sem1, names1) = SemanticFeature.embedNames(b.names1, b.dict1, BenchmarkGen.Dim)
+    val (sem2, names2) = SemanticFeature.embedNames(b.names2, b.dict2, BenchmarkGen.Dim)
     val (st1, st2) = StructuralFeature.embedBoth(spark, b,
       b.seeds.select(col("src"), col("dst")).as[(Long, Long)].collect(), names1.keys, names2.keys)
-    val table = EntityTables.scored(SimilarityMatrix.testDomain(b.test),
-      EntityTables(st1, st2, sem1, sem2, names1, names2)).cache()
-    def view(c: String) = table.select(col("src"), col("dst"), col(c).as("score"))
-    def relation(v: EntityTables.Vectors) = EntityTables.relation(spark, v)
-    FeatureSet(relation(st1), relation(st2), relation(sem1), relation(sem2),
-      view(Struct), view(Sem), view(Str), Some(table))
+    val tables = EntityTables(st1, st2, sem1, sem2, names1, names2)
+    val grid = SimilarityMatrix.testGrid(b.test)
+    val matrices = Seq(Struct, Sem, Str).map(f => f -> grid.tabulate(tables.score(f))).toMap
+    new FeatureSet(st1, st2, sem1, sem2, matrices, f => matrices(f).toDF(spark), Nil)
   }
 
-  /** Score the three features on an arbitrary pair domain — used by the
-    * LR baseline to build its training set over seed pairs. Returns the
-    * domain's rows, with whatever columns they carry, plus one score
-    * column per feature; every row keeps its multiplicity and order. The
-    * cells are scored like [[features]]' table, against `fs`'s embeddings
-    * and `b`'s names collected to the driver (the embeddings cost no Spark
-    * job when they are local relations, as [[features]] makes them).
+  /** The scores of `features` on each of `pairs`, in order — used by the LR
+    * baseline over its training pairs. The cells are scored like
+    * [[features]]' matrices, against `fs`'s embeddings and `b`'s names
+    * collected to the driver.
     */
-  def scoresOn(spark: SparkSession, b: EaBenchmark, fs: FeatureSet,
-               domain: DataFrame): DataFrame = {
-    import EntityTables.{names, vectors}
-    EntityTables.scored(domain, EntityTables(vectors(fs.structEmb1), vectors(fs.structEmb2),
-      vectors(fs.semEmb1), vectors(fs.semEmb2), names(b.names1), names(b.names2)))
+  def scoresOn(b: EaBenchmark, fs: FeatureSet, pairs: Seq[(Long, Long)],
+               features: Seq[String]): Seq[Array[Double]] = {
+    import EntityTables.names
+    val tables = EntityTables(fs.struct1, fs.struct2, fs.sem1, fs.sem2, names(b.names1), names(b.names2))
+    val score = features.map(tables.score)
+    pairs.map { case (s, d) => score.map(_(s, d)).toArray }
   }
 
-  /** Fuse the configured features.
+  /** Fuse the configured features on the driver.
     *
     * Full CEAFF uses the paper's two-stage scheme: semantic+string →
     * textual, then structural+textual → final. Ablations with fewer
     * features, equal weights, or externally fixed weights degrade to a
     * single-stage fusion of whatever is enabled.
     */
-  def fuse(spark: SparkSession, fs: FeatureSet, cfg: CeaffConfig): FusionResult = {
-    val (w, fused) = fuseOf(fs, cfg)
-    FusionResult(w, fused.toDF(spark))
-  }
-
-  /** [[fuse]] on the driver: each enabled feature matrix is collected
-    * once, and both stages run on the collected arrays.
-    */
   private def fuseOf(fs: FeatureSet, cfg: CeaffConfig): (Map[String, Double], LocalMatrix) = {
     val names = cfg.featureNames
     require(names.nonEmpty, "at least one feature must be enabled")
-    val feats = names.map(n => n -> LocalMatrix.of(fs.matrix(n)))
+    val feats = names.map(n => n -> fs.local(n))
 
     cfg.fixedWeights match {
       case Some(w) => AdaptiveFusion.fuseFixedOf(feats, w)
@@ -168,12 +179,12 @@ object Ceaff {
     if (cfg.collective) StableMatching.deferredAcceptance(fused)
     else SimilarityMatrix.rowArgmax(fused)
 
-  /** Run fusion + alignment on precomputed features. The decision stage
-    * runs on the driver, so the result's matches and fused matrix are
-    * local relations.
+  /** Run fusion + alignment on precomputed features. Both run on the
+    * driver, on `fs`'s matrices, and the matches are a local relation, so
+    * a run starts no Spark job.
     */
   def run(spark: SparkSession, fs: FeatureSet, cfg: CeaffConfig): CeaffResult = {
     val (w, fused) = fuseOf(fs, cfg)
-    CeaffResult(LocalMatrix.pairsDF(spark, align(fused, cfg)), fused.toDF(spark), w)
+    CeaffResult(LocalMatrix.pairsDF(spark, align(fused, cfg)), fused, w)
   }
 }

@@ -1,20 +1,31 @@
 package repro.core
 
-import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
-import org.apache.spark.sql.functions.{col, udf}
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.col
 import repro.text.{HashVectors, Levenshtein}
 
 /** The entity-level inputs of the three feature scores, held on the
   * driver and keyed by entity id: each side's structural vectors, name
-  * embeddings and names. They are O(#entities), against the O(n²) cells
-  * they score, so Spark broadcasts them once and scores every cell where
-  * it lies, with no join.
+  * embeddings and names. Every cell of a feature matrix is scored from
+  * them on the driver ([[LocalMatrix.tabulate]]).
   */
 final case class EntityTables(
     struct1: EntityTables.Vectors, struct2: EntityTables.Vectors,
     sem1: EntityTables.Vectors, sem2: EntityTables.Vectors,
-    names1: Map[Long, String], names2: Map[Long, String])
+    names1: Map[Long, String], names2: Map[Long, String]) {
+  import EntityTables.{cosine, ratio}
+
+  /** Feature `f`'s score of a cell `(src, dst)`: the calibrated structural
+    * cosine ([[Ceaff.Struct]]), the name-embedding cosine ([[Ceaff.Sem]])
+    * or the names' Levenshtein ratio ([[Ceaff.Str]]).
+    */
+  def score(f: String): (Long, Long) => Double = f match {
+    case Ceaff.Struct => (s, d) => StructuralFeature.calibrated(cosine(struct1, struct2, s, d), s, d)
+    case Ceaff.Sem    => (s, d) => cosine(sem1, sem2, s, d)
+    case Ceaff.Str    => (s, d) => ratio(names1, names2, s, d)
+    case other        => throw new IllegalArgumentException(s"unknown feature '$other'")
+  }
+}
 
 object EntityTables {
   type Vectors = Map[Long, Array[Double]]
@@ -36,25 +47,6 @@ object EntityTables {
       case (Some(a), Some(b)) => Levenshtein.ratio(a, b)
       case _                  => 0.0
     }
-
-  /** A column over a frame's `src` and `dst` that scores each cell with
-    * `f` on the broadcast value `t`.
-    */
-  def cellScore[T](t: Broadcast[T])(f: (T, Long, Long) => Double): Column =
-    udf((s: Long, d: Long) => f(t.value, s, d)).apply(col("src"), col("dst"))
-
-  /** `cells` (which has `src` and `dst`) with the three feature scores
-    * added as columns [[Ceaff.Struct]] (calibrated), [[Ceaff.Sem]] and
-    * [[Ceaff.Str]]. The tables are broadcast once, so the cells keep their
-    * rows, order and partitioning.
-    */
-  def scored(cells: DataFrame, tables: EntityTables): DataFrame = {
-    val score = cellScore(cells.sparkSession.sparkContext.broadcast(tables)) _
-    cells.select(col("*"),
-      StructuralFeature.calibrated(score((e, s, d) => cosine(e.struct1, e.struct2, s, d))).as(Ceaff.Struct),
-      score((e, s, d) => cosine(e.sem1, e.sem2, s, d)).as(Ceaff.Sem),
-      score((e, s, d) => ratio(e.names1, e.names2, s, d)).as(Ceaff.Str))
-  }
 
   /** An embedding table `(id, vec)` collected to the driver. */
   def vectors(emb: DataFrame): Vectors = {

@@ -30,19 +30,23 @@ object Evaluation {
     * The rank of a gold target is its 1-based position in the source's
     * row ordered by descending score (ties by ascending target id). A
     * gold pair absent from the matrix counts as an infinite rank. The
-    * matrix is collected to the driver, and the reciprocal ranks add in
-    * gold (src, dst) order.
+    * reciprocal ranks add in gold (src, dst) order.
     */
-  def rankingMetrics(m: DataFrame, gold: DataFrame): RankingMetrics = {
+  def rankingMetrics(m: LocalMatrix, gold: DataFrame): RankingMetrics = {
     val g = pairs(gold).sorted
     require(g.nonEmpty, "empty gold set")
-    val lm = LocalMatrix.of(m)
-    val ranks = g.flatMap { case (s, d) => rank(lm, s, d) }
+    val ranks = g.flatMap { case (s, d) => rank(m, s, d) }
     RankingMetrics(
       hitsAt1 = ranks.count(_ <= 1).toDouble / g.length,
       hitsAt10 = ranks.count(_ <= 10).toDouble / g.length,
       mrr = ranks.foldLeft(0.0)(_ + 1.0 / _) / g.length)
   }
+
+  /** [[rankingMetrics]] of a matrix `(src, dst, score)`, collected to the
+    * driver.
+    */
+  def rankingMetrics(m: DataFrame, gold: DataFrame): RankingMetrics =
+    rankingMetrics(LocalMatrix.of(m), gold)
 
   /** The rank of cell `(s, d)` in its row of `m`, if `m` has the cell. */
   private def rank(m: LocalMatrix, s: Long, d: Long): Option[Int] = {

@@ -1,7 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.functions.col
 import repro.kg.{EaBenchmark, NameModel}
 
 /** Learning-based weighting baseline (paper §VII-E, "LR").
@@ -18,14 +18,16 @@ object LRFusion {
 
   val NegativesPerPositive = 10
 
-  /** Build the labelled training domain `(src, dst, label)`. Negative
-    * targets are drawn deterministically from the seed-target pool.
+  /** The labelled training pairs `(src, dst, label)`, built on the driver
+    * from one collect of the seed pairs, in their order: each positive is
+    * followed by its negatives. Negative targets are drawn
+    * deterministically from the seed-target pool.
     */
-  def trainingDomain(spark: SparkSession, b: EaBenchmark, seed: Long = 99): DataFrame = {
-    import spark.implicits._
-    val dstPool: Array[Long] = b.seeds.select(col("dst")).as[Long].collect().sorted
+  def trainingDomain(b: EaBenchmark, seed: Long = 99): Seq[(Long, Long, Double)] = {
+    import b.seeds.sparkSession.implicits._
+    val pairs = b.seeds.select(col("src"), col("dst")).as[(Long, Long)].collect().toSeq
+    val dstPool = pairs.map(_._2).sorted.toArray
     require(dstPool.length >= 2, "need at least two seed pairs for negatives")
-    val pairs = b.seeds.select(col("src"), col("dst")).as[(Long, Long)]
     pairs.flatMap { case (u, v) =>
       val negs = (0 until NegativesPerPositive).flatMap { k =>
         val cand = dstPool((NameModel.frac(s"lrneg:$u:$k:$seed") * dstPool.length).toInt
@@ -33,7 +35,7 @@ object LRFusion {
         if (cand == v) None else Some((u, cand, 0.0))
       }
       (u, v, 1.0) +: negs
-    }.toDF("src", "dst", "label")
+    }
   }
 
   /** Fit logistic regression on `(features..., label)` rows. Returns the
@@ -74,15 +76,9 @@ object LRFusion {
   def learnWeights(spark: SparkSession, b: EaBenchmark, fs: FeatureSet,
                    featureNames: Seq[String] = Seq(Ceaff.Struct, Ceaff.Sem, Ceaff.Str),
                    seed: Long = 99): Map[String, Double] = {
-    val domain = trainingDomain(spark, b, seed)
-    val scored = Ceaff.scoresOn(spark, b, fs, domain)
-    val rows = scored.select(
-        featureNames.map(col) :+ col("label"): _*)
-      .collect()
-      .map { r =>
-        (featureNames.indices.map(i => r.getDouble(i)).toArray,
-         r.getDouble(featureNames.length))
-      }
+    val domain = trainingDomain(b, seed)
+    val rows = Ceaff.scoresOn(b, fs, domain.map { case (s, d, _) => (s, d) }, featureNames)
+      .zip(domain.map(_._3)).toArray
     val w = fitLogistic(rows).map(math.max(_, 0.0))
     val total = w.sum
     if (total <= 0) featureNames.map(_ -> 1.0 / featureNames.size).toMap

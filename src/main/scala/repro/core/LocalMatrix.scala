@@ -4,11 +4,11 @@ import java.util.Arrays
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.col
 
-/** A similarity matrix on the driver, where CEAFF's decision stage (fusion,
-  * matching, evaluation) runs: `srcs` are the distinct source ids (rows)
-  * and `dsts` the distinct target ids (columns), both ascending, and
-  * `score` holds the cells row-major. A cell absent from the matrix holds
-  * NaN. Cell index order is therefore (src asc, dst asc).
+/** A similarity matrix on the driver, the one form in which CEAFF builds,
+  * fuses, matches and evaluates its matrices: `srcs` are the distinct
+  * source ids (rows) and `dsts` the distinct target ids (columns), both
+  * ascending, and `score` holds the cells row-major. A cell absent from the
+  * matrix holds NaN. Cell index order is therefore (src asc, dst asc).
   *
   * Scores compare as Spark compares them: `-0.0` is read as `0.0` (Spark
   * finds them equal in every comparison and sort), and a NaN score is
@@ -22,6 +22,15 @@ final class LocalMatrix(val srcs: Array[Long], val dsts: Array[Long], val score:
 
   /** Indices of the cells present in the matrix, in (src, dst) order. */
   def cells: Array[Int] = Array.range(0, score.length).filter(i => !score(i).isNaN)
+
+  /** The matrix with every present cell `(s, d)` scored `f(s, d)` instead,
+    * one call per cell on the driver.
+    */
+  def tabulate(f: (Long, Long) => Double): LocalMatrix = {
+    val out = Array.fill(score.length)(Double.NaN)
+    cells.foreach(i => out(i) = LocalMatrix.checked(src(i), dst(i), f(src(i), dst(i))))
+    new LocalMatrix(srcs, dsts, out)
+  }
 
   /** The cells `is` as a local relation `(src, dst, score)`, which Spark
     * reads from the driver without a job.
@@ -38,18 +47,30 @@ object LocalMatrix {
   def of(m: DataFrame): LocalMatrix = {
     import m.sparkSession.implicits._
     val cells = m.select(col("src"), col("dst"), col("score")).as[(Long, Long, Double)].collect()
-    val srcs = ids(cells.map(_._1))
-    val dsts = ids(cells.map(_._2))
+    val out = grid(ids(cells.map(_._1)), ids(cells.map(_._2)), Double.NaN)
+    cells.foreach { case (s, d, v) =>
+      val i = Arrays.binarySearch(out.srcs, s) * out.cols + Arrays.binarySearch(out.dsts, d)
+      require(out.score(i).isNaN, s"cell ($s, $d) appears twice")
+      out.score(i) = checked(s, d, v)
+    }
+    out
+  }
+
+  /** Every cell of `srcs` × `dsts` (each ascending and distinct), scoring
+    * `v`.
+    */
+  def grid(srcs: Array[Long], dsts: Array[Long], v: Double): LocalMatrix = {
     require(srcs.length.toLong * dsts.length <= Int.MaxValue,
       s"${srcs.length} x ${dsts.length} cells do not fit one driver array")
-    val score = Array.fill(srcs.length * dsts.length)(Double.NaN)
-    cells.foreach { case (s, d, v) =>
-      require(!v.isNaN, s"NaN score at ($s, $d)")
-      val i = Arrays.binarySearch(srcs, s) * dsts.length + Arrays.binarySearch(dsts, d)
-      require(score(i).isNaN, s"cell ($s, $d) appears twice")
-      score(i) = v + 0.0 // turns -0.0 into 0.0
-    }
-    new LocalMatrix(srcs, dsts, score)
+    new LocalMatrix(srcs, dsts, Array.fill(srcs.length * dsts.length)(v))
+  }
+
+  /** Score `v` of cell `(s, d)` as a matrix stores it: NaN is rejected and
+    * `-0.0` becomes `0.0`.
+    */
+  private def checked(s: Long, d: Long, v: Double): Double = {
+    require(!v.isNaN, s"NaN score at ($s, $d)")
+    v + 0.0
   }
 
   /** The distinct values of `xs`, ascending. */

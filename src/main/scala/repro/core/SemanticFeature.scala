@@ -6,7 +6,7 @@ import repro.text.HashVectors
 
 /** Semantic feature `M^n`: averaged word embeddings of entity names
   * (paper §IV-B), cosine similarity over the test domain
-  * (`SimilarityMatrix.cosineCross` of the two sides' name embeddings).
+  * ([[EntityTables.score]] of the two sides' name embeddings).
   *
   * `ne(e) = (1/l) Σ w_i` over the in-dictionary tokens of `e`'s name;
   * out-of-vocabulary tokens are skipped (the paper's stated limitation of
@@ -15,25 +15,28 @@ import repro.text.HashVectors
   */
 object SemanticFeature {
 
-  /** Name embeddings `(id, vec)` for one KG side. The dictionary holds
-    * one vector per token, so it is broadcast as a map and each name is
-    * averaged where it lies ([[average]]): no shuffle, and the same bits
-    * whatever the partitioning. Entities with no in-dictionary token are
-    * kept with a zero vector so the matrix stays dense. The returned plan
-    * holds the broadcast; Spark's context cleaner releases it with the
-    * plan.
+  /** Name embeddings `(id, vec)` for one KG side ([[embedNames]]), as a
+    * local relation.
     */
   def nameEmbeddings(spark: SparkSession, names: DataFrame, dict: DataFrame,
-                     dim: Int): DataFrame = {
-    import spark.implicits._
-    val vectors = spark.sparkContext.broadcast(dictionary(dict))
-    names.select(col("id"), col("tokens")).as[(Long, Seq[String])]
-      .map { case (id, tokens) => (id, average(tokens, vectors.value, dim).toSeq) }
-      .toDF("id", "vec")
+                     dim: Int): DataFrame =
+    EntityTables.relation(spark, embedNames(names, dict, dim)._1)
+
+  /** One KG side's name embeddings and names, from one collect of the
+    * names and one of the dictionary. Each name is averaged on the driver
+    * ([[average]]); entities with no in-dictionary token are kept with a
+    * zero vector so the matrix stays dense.
+    */
+  def embedNames(names: DataFrame, dict: DataFrame, dim: Int): (EntityTables.Vectors, Map[Long, String]) = {
+    import names.sparkSession.implicits._
+    val vectors = dictionary(dict)
+    val rows = names.select(col("id"), col("name"), col("tokens")).as[(Long, String, Seq[String])].collect()
+    (rows.map { case (id, _, t) => id -> average(t, vectors, dim) }.toMap,
+     rows.map { case (id, n, _) => id -> n }.toMap)
   }
 
   /** A dictionary `(token, vec)` collected to the driver. */
-  def dictionary(dict: DataFrame): Map[String, Array[Double]] = {
+  private def dictionary(dict: DataFrame): Map[String, Array[Double]] = {
     import dict.sparkSession.implicits._
     dict.select(col("token"), col("vec")).as[(String, Seq[Double])].collect()
       .map { case (t, v) => t -> v.toArray }.toMap

@@ -1,53 +1,55 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.{broadcast, col}
+import org.apache.spark.sql.functions.{broadcast, col, lit}
 
 /** Operations on similarity matrices.
   *
-  * A similarity matrix is a DataFrame `(src: Long, dst: Long, score:
-  * Double)` dense over (source-test × target-test) entities — the paper's
-  * `M^s`, `M^n`, `M^l` and their fusions. Rows are source entities,
-  * columns target entities; training (seed) entities are excluded, as in
-  * the paper (§VII).
+  * A similarity matrix is dense over (source-test × target-test) entities
+  * — the paper's `M^s`, `M^n`, `M^l` and their fusions. Rows are source
+  * entities, columns target entities; training (seed) entities are
+  * excluded, as in the paper (§VII).
   *
-  * Only scoring runs on Spark. Every matrix built on [[testDomain]] is
-  * hash-partitioned by `src`, and its cells are scored in place against
-  * broadcast entity tables ([[EntityTables]]). The decision steps (row
-  * argmax, confident cells, weighted sums) collect a matrix to the driver
-  * once, as a [[LocalMatrix]], and run there on plain arrays; a matrix or
-  * matching they return is a local relation, which costs no Spark job.
-  * Each step has a driver form over [[LocalMatrix]] that the pipeline
-  * calls directly, so it collects each feature matrix only once.
+  * Every matrix is built, fused, matched and evaluated on the driver, as a
+  * [[LocalMatrix]]: its cells are scored there from entity-level tables
+  * ([[LocalMatrix.tabulate]] over [[testGrid]]), and the decision steps
+  * (row argmax, confident cells, weighted sums) run there on plain arrays.
+  * The DataFrame functions take and return the long format `(src: Long,
+  * dst: Long, score: Double)`: each collects its input once, runs the
+  * driver form, and returns a local relation, which costs no Spark job.
   */
 object SimilarityMatrix {
 
   /** Cosine-similarity matrix between two embedding tables `(id, vec)`
     * over the given `domain` `(src, dst)` universe (typically
     * [[testDomain]]). Pairs whose either side lacks an embedding (or
-    * has a zero vector) score 0.
+    * has a zero vector) score 0. The tables and the domain are collected,
+    * and the cells scored on the driver.
     */
-  def cosineCross(emb1: DataFrame, emb2: DataFrame, domain: DataFrame): DataFrame =
-    cosines(EntityTables.vectors(emb1), EntityTables.vectors(emb2), domain)
-
-  /** [[cosineCross]] of embeddings held on the driver: both are broadcast
-    * and every cell is scored where it lies, so the matrix keeps the
-    * domain's partitioning.
-    */
-  def cosines(v1: EntityTables.Vectors, v2: EntityTables.Vectors, domain: DataFrame): DataFrame = {
-    val t = domain.sparkSession.sparkContext.broadcast((v1, v2))
-    domain.select(col("src"), col("dst"),
-      EntityTables.cellScore(t) { case ((a, b), s, d) => EntityTables.cosine(a, b, s, d) }.as("score"))
+  def cosineCross(emb1: DataFrame, emb2: DataFrame, domain: DataFrame): DataFrame = {
+    val (v1, v2) = (EntityTables.vectors(emb1), EntityTables.vectors(emb2))
+    LocalMatrix.of(domain.select(col("src"), col("dst"), lit(0.0).as("score")))
+      .tabulate((s, d) => EntityTables.cosine(v1, v2, s, d)).toDF(domain.sparkSession)
   }
 
   /** The full test domain: test source ids × test target ids (paper: the
-    * matrix spans all test entities on both axes). The source ids are
-    * hash-partitioned by `src` once and the target ids are broadcast, so
-    * every matrix built on this domain shares that partitioning.
+    * matrix spans all test entities on both axes), as a DataFrame. The
+    * source ids are hash-partitioned by `src` and the target ids are
+    * broadcast.
     */
   def testDomain(test: DataFrame): DataFrame =
     test.select(col("src")).repartition(col("src"))
       .crossJoin(broadcast(test.select(col("dst"))))
+
+  /** [[testDomain]] on the driver, from one collect of the test pairs: the
+    * sorted test source ids × the sorted test target ids, every cell
+    * scoring 0 until it is [[LocalMatrix.tabulate]]d.
+    */
+  def testGrid(test: DataFrame): LocalMatrix = {
+    import test.sparkSession.implicits._
+    val pairs = test.select(col("src"), col("dst")).as[(Long, Long)].collect()
+    LocalMatrix.grid(LocalMatrix.ids(pairs.map(_._1)), LocalMatrix.ids(pairs.map(_._2)), 0.0)
+  }
 
   /** Independent (non-collective) decision rule: per source entity take
     * the highest-scoring target; ties broken towards the smallest target
@@ -67,16 +69,9 @@ object SimilarityMatrix {
     }
 
   /** Cells that are the maximum of both their row and their column — the
-    * paper's *confident correspondences* for one feature (§V). Ties keep
-    * every maximal cell; downstream conflict filtering handles them.
-    */
-  def confidentCells(m: DataFrame): DataFrame = {
-    val lm = LocalMatrix.of(m)
-    lm.toDF(m.sparkSession, confident(lm))
-  }
-
-  /** [[confidentCells]] on the driver: the indices of the cells equal to
-    * both their row's and their column's maximum, in (src, dst) order.
+    * paper's *confident correspondences* for one feature (§V), as indices
+    * in (src, dst) order. Ties keep every maximal cell; downstream conflict
+    * filtering handles them.
     */
   def confident(m: LocalMatrix): Array[Int] = {
     val rmax = Array.fill(m.rows)(Double.NegativeInfinity)

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.kg.{BenchmarkGen, EaBenchmark, NameModel}
 import repro.text.HashVectors
@@ -19,9 +19,8 @@ import repro.text.HashVectors
   * the same fixed point the margin loss optimises for, deterministically
   * and with no cross-KG initialisation noise (DESIGN.md §2).
   *
-  * The propagation is entity-level work, O(#triples · dim), so it runs on
-  * the driver ([[propagate]]); only the O(n²) cells of the matrix are
-  * scored on Spark.
+  * The propagation ([[propagate]]) and the scoring of the matrix's cells
+  * both run on the driver.
   */
 object StructuralFeature {
 
@@ -45,18 +44,18 @@ object StructuralFeature {
     */
   val JitterAmp = 1e-4
 
-  private val jitter = udf { (s: Long, d: Long) => NameModel.frac(s"jitter:$s:$d") }
-
-  /** A raw structural cosine column of a matrix with `src` and `dst`,
-    * calibrated: rescaled below θ1, exact ties broken deterministically in
-    * (src, dst).
+  /** A raw structural cosine of cell `(s, d)`, calibrated: rescaled below
+    * θ1, exact ties broken deterministically in (src, dst).
     */
-  def calibrated(score: Column): Column =
-    score * CosineScale + jitter(col("src"), col("dst")) * JitterAmp
+  def calibrated(raw: Double, s: Long, d: Long): Double =
+    raw * CosineScale + NameModel.frac(s"jitter:$s:$d") * JitterAmp
 
-  /** Calibrate a raw structural cosine matrix (see [[calibrated]]). */
+  /** Calibrate a raw structural cosine matrix `(src, dst, score)` (see
+    * [[calibrated]]).
+    */
   def calibrate(m: DataFrame): DataFrame =
-    m.select(col("src"), col("dst"), calibrated(col("score")).as("score"))
+    m.select(col("src"), col("dst"),
+      udf(calibrated _).apply(col("score"), col("src"), col("dst")).as("score"))
 
   /** Propagate `layers` rounds from anchored initial vectors, on the
     * driver.
@@ -153,17 +152,17 @@ object StructuralFeature {
 
   /** Full `M^s` for a benchmark: embed both KGs with seed anchoring
     * ([[embedBoth]]) and take the calibrated cosine similarity over the
-    * test domain. The matrix is an uncached plan.
+    * test domain, on the driver.
     *
     * @param extraPairs additional anchored pairs (bootstrapping baselines
     *                   append confident matches here)
     */
   def matrix(spark: SparkSession, b: EaBenchmark, layers: Int = DefaultLayers,
-             extraPairs: Iterable[(Long, Long)] = Nil): DataFrame = {
+             extraPairs: Iterable[(Long, Long)] = Nil): LocalMatrix = {
     import spark.implicits._
     def ids(names: DataFrame) = names.select(col("id")).as[Long].collect()
     val seeds = b.seeds.select(col("src"), col("dst")).as[(Long, Long)].collect()
     val (v1, v2) = embedBoth(spark, b, seeds ++ extraPairs, ids(b.names1), ids(b.names2), layers)
-    calibrate(SimilarityMatrix.cosines(v1, v2, SimilarityMatrix.testDomain(b.test)))
+    SimilarityMatrix.testGrid(b.test).tabulate((s, d) => calibrated(EntityTables.cosine(v1, v2, s, d), s, d))
   }
 }

@@ -83,7 +83,7 @@ object Experiments {
     val fs = Ceaff.features(spark, b)
     def ceaff(cfg: CeaffConfig): Double =
       Evaluation.accuracy(Ceaff.run(spark, fs, cfg).matches, b.test)
-    val out = accuracyMethods.map { m =>
+    accuracyMethods.map { m =>
       progress(s"${b.scenario.name}: running $m")
       m -> (m match {
         case "ceaff"      => ceaff(CeaffConfig())
@@ -91,8 +91,6 @@ object Experiments {
         case baseline     => Baselines.accuracy(spark, b, fs, baseline)
       })
     }
-    fs.unpersistAll()
-    out
   }
 
   val table3Datasets: Seq[Scenario] = Seq(
@@ -154,9 +152,7 @@ object Experiments {
     }
     val lrWeights = LRFusion.learnWeights(spark, b, fs)
     val lrRun = Ceaff.run(spark, fs, CeaffConfig(fixedWeights = Some(lrWeights)))
-    val lrAcc = Evaluation.accuracy(lrRun.matches, b.test)
-    fs.unpersistAll()
-    rows :+ ("LR" -> lrAcc)
+    rows :+ ("LR" -> Evaluation.accuracy(lrRun.matches, b.test))
   }
 
   def table5(spark: SparkSession, scale: Double): Seq[(String, String, Double)] =
@@ -185,12 +181,12 @@ object Experiments {
       }
       progress(s"${sc.name}: ranking ceaff")
       val r = Ceaff.run(spark, fs, CeaffConfig())
-      val indep = Evaluation.rankingMetrics(r.fused, b.test)
+      val indep = Evaluation.rankingMetrics(r.local, b.test)
       val collAcc = Evaluation.accuracy(r.matches, b.test)
       val rows = baseRows ++ Seq(
         RankRow("ceaffNoC", sc.name, indep.hitsAt1, Some(indep.hitsAt10), Some(indep.mrr)),
         RankRow("ceaff", sc.name, collAcc, None, None))
-      fs.unpersistAll(); b.unpersistAll()
+      b.unpersistAll()
       rows
     }
 

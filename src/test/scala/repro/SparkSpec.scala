@@ -10,8 +10,8 @@ import org.scalatest.funsuite.AnyFunSuite
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
   * limit). Automatic broadcast joins are disabled
   * (`autoBroadcastJoinThreshold = -1`), so a join broadcasts only where
-  * the code asks for it: explicit `broadcast()` hints are still honoured,
-  * and that is how similarity-matrix cells are joined to entity tables.
+  * the code asks for it: explicit `broadcast()` hints, as in
+  * `SimilarityMatrix.testDomain`, are still honoured.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -157,9 +157,9 @@ class AdaptiveFusionSpec extends SparkSpec with Fixtures {
   }
 
   test("fuse produces the weighted sum with adaptive weights") {
-    val r = AdaptiveFusion.fuse(spark, feats)
-    val w = r.weights
-    val got = cells(r.fused).map { case (s, d, v) => (s, d) -> v }.toMap
+    val (w, fused) = AdaptiveFusion.fuseOf(feats.map { case (n, m) => n -> LocalMatrix.of(m) },
+      AdaptiveFusion.DefaultTheta1, AdaptiveFusion.DefaultTheta2)
+    val got = cells(fused.toDF(spark)).map { case (s, d, v) => (s, d) -> v }.toMap
     val msC = cells(ms).map { case (s, d, v) => (s, d) -> v }.toMap
     val mnC = cells(mn).map { case (s, d, v) => (s, d) -> v }.toMap
     val mlC = cells(ml).map { case (s, d, v) => (s, d) -> v }.toMap
@@ -188,7 +188,9 @@ class AdaptiveFusionSpec extends SparkSpec with Fixtures {
   }
 
   test("empty feature list is rejected") {
-    intercept[IllegalArgumentException] { AdaptiveFusion.fuse(spark, Seq.empty) }
+    intercept[IllegalArgumentException] {
+      AdaptiveFusion.fuseOf(Seq.empty, AdaptiveFusion.DefaultTheta1, AdaptiveFusion.DefaultTheta2)
+    }
   }
 
   test("a clearly better feature earns a larger adaptive weight on realistic matrices") {

@@ -41,8 +41,8 @@ class CeaffSpec extends SparkSpec with Fixtures {
     */
   private def scoreBits(m: DataFrame): Map[(Long, Long), Long] =
     cells(m).map { case (s, d, v) => (s, d) -> java.lang.Double.doubleToRawLongBits(v) }.toMap
-  private def vectorBits(e: DataFrame): Map[Long, Seq[Long]] =
-    EntityTables.vectors(e).map { case (id, v) => id -> v.toSeq.map(java.lang.Double.doubleToRawLongBits) }
+  private def vectorBits(e: EntityTables.Vectors): Map[Long, Seq[Long]] =
+    e.map { case (id, v) => id -> v.toSeq.map(java.lang.Double.doubleToRawLongBits) }
 
   /** The per-layer composition of `Ceaff.features`: one propagation and
     * one name-embedding table per side, then one matrix per feature.
@@ -65,15 +65,17 @@ class CeaffSpec extends SparkSpec with Fixtures {
     Seq(Ceaff.Struct, Ceaff.Sem, Ceaff.Str).foreach { f =>
       assert(scoreBits(fsCross.matrix(f)) == scoreBits(want.matrix(f)), s"$f matrix")
     }
-    assert(vectorBits(fsCross.structEmb1) == vectorBits(want.structEmb1))
-    assert(vectorBits(fsCross.structEmb2) == vectorBits(want.structEmb2))
-    assert(vectorBits(fsCross.semEmb1) == vectorBits(want.semEmb1))
-    assert(vectorBits(fsCross.semEmb2) == vectorBits(want.semEmb2))
+    assert(vectorBits(fsCross.struct1) == vectorBits(want.struct1))
+    assert(vectorBits(fsCross.struct2) == vectorBits(want.struct2))
+    assert(vectorBits(fsCross.sem1) == vectorBits(want.sem1))
+    assert(vectorBits(fsCross.sem2) == vectorBits(want.sem2))
   }
 
   test("a feature set built from its seven fields gives the same weights and matchings") {
     val fs = fsCross
-    val seven = FeatureSet(fs.structEmb1, fs.structEmb2, fs.semEmb1, fs.semEmb2, fs.ms, fs.mn, fs.ml)
+    def relation(v: EntityTables.Vectors) = EntityTables.relation(spark, v)
+    val seven = FeatureSet(relation(fs.struct1), relation(fs.struct2), relation(fs.sem1),
+      relation(fs.sem2), fs.ms, fs.mn, fs.ml)
     val lr = LRFusion.learnWeights(spark, cross, fs)
     assert(LRFusion.learnWeights(spark, cross, seven) == lr)
     assert(LRFusion.learnWeights(spark, cross, perLayer(cross)) == lr)
@@ -84,11 +86,12 @@ class CeaffSpec extends SparkSpec with Fixtures {
     }
   }
 
-  /** Jobs of `Ceaff.features`, an equal-weight `Ceaff.run` and
-    * `Evaluation.accuracy` on the guard's benchmark, as measured at 2 and
-    * at 4 cores.
+  /** Jobs of `Ceaff.features` (the names and dictionaries, both KGs'
+    * edges, the seed pairs and the test pairs, one collect each), an
+    * equal-weight `Ceaff.run` (none) and `Evaluation.accuracy` (the gold
+    * pairs) on the guard's benchmark.
     */
-  private val MaxJobs = 13
+  private val MaxJobs = 8
 
   test("features, an equal-weight run and its accuracy stay within their job count") {
     val b = BenchmarkGen
@@ -140,21 +143,22 @@ class CeaffSpec extends SparkSpec with Fixtures {
     }
   }
 
-  test("a full run and its accuracy collect each feature matrix and gold pairs once") {
-    // Fill the feature and gold caches first: only the run's own jobs count.
-    Seq(fsCross.ms, fsCross.mn, fsCross.ml, cross.test).foreach(_.count())
-    val (_, jobs) = JobCount(spark.sparkContext) {
-      Evaluation.accuracy(Ceaff.run(spark, fsCross, CeaffConfig()).matches, cross.test)
-    }
-    info(s"$jobs Spark jobs")
-    assert(jobs <= 4, s"$jobs Spark jobs")
+  test("a full run starts no Spark job, and its accuracy one") {
+    // Fill the gold cache first: only the evaluation's own jobs count.
+    cross.test.count()
+    val (r, runJobs) = JobCount(spark.sparkContext)(Ceaff.run(spark, fsCross, CeaffConfig()))
+    val (_, evalJobs) = JobCount(spark.sparkContext)(Evaluation.accuracy(r.matches, cross.test))
+    info(s"run: $runJobs Spark jobs, accuracy: $evalJobs")
+    assert(runJobs == 0, s"$runJobs Spark jobs in Ceaff.run")
+    assert(evalJobs <= 1, s"$evalJobs Spark jobs in Evaluation.accuracy")
   }
 
-  test("features produces three cached full matrices") {
+  test("features produces three full matrices") {
     val n = mono.test.count()
-    assert(fsMono.ms.count() == n * n)
-    assert(fsMono.mn.count() == n * n)
-    assert(fsMono.ml.count() == n * n)
+    Seq(Ceaff.Struct, Ceaff.Sem, Ceaff.Str).foreach { f =>
+      assert(fsMono.local(f).cells.length == n * n, f)
+      assert(fsMono.matrix(f).count() == n * n, f)
+    }
   }
 
   test("full CEAFF run yields a 1-1 matching over all test entities") {
@@ -200,24 +204,24 @@ class CeaffSpec extends SparkSpec with Fixtures {
 
   test("all features disabled is rejected") {
     intercept[IllegalArgumentException] {
-      Ceaff.fuse(spark, fsMono,
+      Ceaff.run(spark, fsMono,
         CeaffConfig(useStruct = false, useSemantic = false, useString = false))
     }
   }
 
   test("equal-weight fusion (w/o AFF) uses 1/k for each feature") {
-    val r = Ceaff.fuse(spark, fsCross, CeaffConfig(adaptive = false))
+    val r = Ceaff.run(spark, fsCross, CeaffConfig(adaptive = false))
     assert(r.weights.values.forall(v => math.abs(v - 1.0 / 3) < 1e-9))
   }
 
   test("fixed weights override the adaptive mechanism") {
     val w = Map(Ceaff.Struct -> 0.2, Ceaff.Sem -> 0.3, Ceaff.Str -> 0.5)
-    val r = Ceaff.fuse(spark, fsCross, CeaffConfig(fixedWeights = Some(w)))
+    val r = Ceaff.run(spark, fsCross, CeaffConfig(fixedWeights = Some(w)))
     assert(r.weights == w)
   }
 
   test("the fused matrix is a conical combination: fused <= sum of parts") {
-    val fused = Ceaff.fuse(spark, fsCross, CeaffConfig()).fused
+    val fused = Ceaff.run(spark, fsCross, CeaffConfig()).fused
     val bound = fused.filter(col("score") > 1.0 + 1e-9).count()
     // all features are bounded by 1, weights sum to 1 -> fused <= 1
     assert(bound == 0, s"$bound fused cells exceed 1")
@@ -225,13 +229,13 @@ class CeaffSpec extends SparkSpec with Fixtures {
 
   test("scoresOn returns the three per-pair feature scores for any domain") {
     import spark.implicits._
-    val domain = cross.seeds.limit(5)
-    val scored = Ceaff.scoresOn(spark, cross, fsCross, domain)
-    assert(scored.count() == 5)
-    assert(scored.columns.toSet == Set("src", "dst", Ceaff.Struct, Ceaff.Sem, Ceaff.Str))
+    val pairs = cross.seeds.limit(5).select("src", "dst").as[(Long, Long)].collect().toSeq
+    val scored = Ceaff.scoresOn(cross, fsCross, pairs, Seq(Ceaff.Struct, Ceaff.Sem, Ceaff.Str))
+    assert(scored.size == 5)
+    assert(scored.forall(_.length == 3))
     // seed pairs are anchored: structural similarity must be the
     // calibrated maximum (cosine 1 × CosineScale)
-    val structs = scored.select(Ceaff.Struct).as[Double].collect()
+    val structs = scored.map(_(0))
     structs.foreach(s =>
       assert(math.abs(s - StructuralFeature.CosineScale) < 2 * StructuralFeature.JitterAmp,
         s"seed structural score $s"))

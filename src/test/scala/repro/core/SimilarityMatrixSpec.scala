@@ -31,20 +31,26 @@ class SimilarityMatrixSpec extends SparkSpec with Fixtures {
     Oracle.assertEquivalent(SimilarityMatrix.greedyMatch(m), argmaxSql, "m" -> m)
   }
 
+  /** The confident cells of `m` as a local relation `(src, dst, score)`. */
+  private def confidentCells(m: org.apache.spark.sql.DataFrame) = {
+    val lm = LocalMatrix.of(m)
+    lm.toDF(spark, SimilarityMatrix.confident(lm))
+  }
+
   test("confidentCells keeps only row-and-column maxima") {
-    val got = cells(SimilarityMatrix.confidentCells(m)).toSet
+    val got = cells(confidentCells(m)).toSet
     // (0,0)=0.9 is max of row 0 and col 0. (1,1)=0.8 is col-1 max but not
     // row-1 max (0.85 at (1,0)); (2,1)=0.7 is row-2 max but not col-1 max;
     // nothing else qualifies.
     assert(got == Set((0L, 0L, 0.9)))
     val m2 = denseMat(Seq(Seq(0.9, 0.1), Seq(0.2, 0.8)))
-    assert(cells(SimilarityMatrix.confidentCells(m2)).toSet ==
+    assert(cells(confidentCells(m2)).toSet ==
       Set((0L, 0L, 0.9), (1L, 1L, 0.8)))
   }
 
   test("confidentCells keeps tied maxima (conflict filter handles them later)") {
     val tied = mat(Seq((0L, 0L, 0.5), (0L, 1L, 0.5), (1L, 0L, 0.1), (1L, 1L, 0.2)))
-    val got = cells(SimilarityMatrix.confidentCells(tied)).toSet
+    val got = cells(confidentCells(tied)).toSet
     assert(got == Set((0L, 0L, 0.5), (0L, 1L, 0.5)))
   }
 
@@ -58,7 +64,7 @@ class SimilarityMatrixSpec extends SparkSpec with Fixtures {
 
   test("oracle: confidentCells agrees with DuckDB") {
     Oracle.assertEquivalent(
-      SimilarityMatrix.confidentCells(m)
+      confidentCells(m)
         .select(col("src"), col("dst"), col("score")),
       confidentSql, "m" -> m)
   }
@@ -71,7 +77,7 @@ class SimilarityMatrixSpec extends SparkSpec with Fixtures {
       val r = mat(for (i <- 0 until rows; j <- 0 until cols)
         yield (i.toLong, 100L + 3 * j, Seq(0.2, 0.5, 0.9)(rnd.nextInt(3))))
       Oracle.assertEquivalent(SimilarityMatrix.greedyMatch(r), argmaxSql, "m" -> r)
-      Oracle.assertEquivalent(SimilarityMatrix.confidentCells(r), confidentSql, "m" -> r)
+      Oracle.assertEquivalent(confidentCells(r), confidentSql, "m" -> r)
       assert(matchMap(SimilarityMatrix.greedyMatch(r)).size == rows)
     }
   }
@@ -80,12 +86,12 @@ class SimilarityMatrixSpec extends SparkSpec with Fixtures {
     // Spark compares -0.0 and 0.0 as equal: both rows tie at their maximum.
     val signed = mat(Seq((0L, 5L, 0.0), (0L, 2L, -0.0), (1L, 5L, -0.0), (1L, 2L, -0.5)))
     assert(matchMap(SimilarityMatrix.greedyMatch(signed)) == Map(0L -> 2L, 1L -> 5L))
-    val conf = cells(SimilarityMatrix.confidentCells(signed))
+    val conf = cells(confidentCells(signed))
     assert(conf.map { case (s, d, _) => (s, d) }.toSet == Set((0L, 2L), (0L, 5L), (1L, 5L)))
     assert(conf.forall { case (_, _, v) => v == 0.0 })
     val nan = mat(Seq((0L, 0L, 0.5), (0L, 1L, Double.NaN)))
     intercept[IllegalArgumentException](SimilarityMatrix.greedyMatch(nan))
-    intercept[IllegalArgumentException](SimilarityMatrix.confidentCells(nan))
+    intercept[IllegalArgumentException](confidentCells(nan))
     intercept[IllegalArgumentException](SimilarityMatrix.weightedSum(spark, Seq(nan -> 1.0)))
   }
 
@@ -147,13 +153,10 @@ class SimilarityMatrixSpec extends SparkSpec with Fixtures {
   }
 
   test("oracle: cosineCross agrees with DuckDB over exploded vectors") {
-    val e1 = Seq((0L, Seq(0.5, 0.5, 0.1)), (1L, Seq(0.9, 0.1, 0.3))).toDF("id", "vec")
-    val e2 = Seq((0L, Seq(0.2, 0.8, 0.4)), (1L, Seq(0.3, 0.3, 0.3))).toDF("id", "vec")
-    val domain = Seq((0L, 0L), (0L, 1L), (1L, 0L), (1L, 1L)).toDF("src", "dst")
     def exploded(e: org.apache.spark.sql.DataFrame) =
       e.select(col("id"), posexplode(col("vec")).as(Seq("dim", "v")))
-    Oracle.assertEquivalent(
-      SimilarityMatrix.cosineCross(e1, e2, domain),
+    // A cell whose source or target has no vector, or a zero one, scores 0.
+    val sql =
       """WITH dots AS (
         |  SELECT a.id AS src, b.id AS dst,
         |         sum(CAST(a.v AS DOUBLE) * CAST(b.v AS DOUBLE)) AS d,
@@ -161,8 +164,24 @@ class SimilarityMatrixSpec extends SparkSpec with Fixtures {
         |         sqrt(sum(CAST(b.v AS DOUBLE) * CAST(b.v AS DOUBLE))) AS nb
         |  FROM e1 a JOIN e2 b ON a.dim = b.dim
         |  GROUP BY a.id, b.id)
-        |SELECT src, dst, d / (na * nb) AS score FROM dots""".stripMargin,
-      "e1" -> exploded(e1), "e2" -> exploded(e2))
+        |SELECT m.src AS src, m.dst AS dst,
+        |       CASE WHEN na > 0 AND nb > 0 THEN d / (na * nb) ELSE 0.0 END AS score
+        |FROM dom m LEFT JOIN dots ON m.src = dots.src AND m.dst = dots.dst""".stripMargin
+    val square = (
+      Seq((0L, Seq(0.5, 0.5, 0.1)), (1L, Seq(0.9, 0.1, 0.3))).toDF("id", "vec"),
+      Seq((0L, Seq(0.2, 0.8, 0.4)), (1L, Seq(0.3, 0.3, 0.3))).toDF("id", "vec"),
+      Seq((0L, 0L), (0L, 1L), (1L, 0L), (1L, 1L)).toDF("src", "dst"))
+    // #src != #dst: source 2 has no vector, target 7 has none and target 9
+    // a zero one.
+    val rectangular = (
+      Seq((0L, Seq(0.5, 0.5, 0.1)), (1L, Seq(-0.9, 0.1, 0.3)), (3L, Seq(0.0, 0.2, 0.0))).toDF("id", "vec"),
+      Seq((5L, Seq(0.2, 0.8, 0.4)), (6L, Seq(0.3, -0.3, 0.3)), (9L, Seq(0.0, 0.0, 0.0))).toDF("id", "vec"),
+      Seq(0L, 1L, 2L).toDF("src").crossJoin(Seq(5L, 6L, 7L, 9L).toDF("dst")))
+    for ((e1, e2, domain) <- Seq(square, rectangular))
+      Oracle.assertEquivalent(SimilarityMatrix.cosineCross(e1, e2, domain), sql,
+        "e1" -> exploded(e1), "e2" -> exploded(e2), "dom" -> domain)
+    assert(cells(SimilarityMatrix.cosineCross(rectangular._1, rectangular._2, rectangular._3))
+      .count { case (s, d, v) => v == 0.0 && (s == 2L || d == 7L || d == 9L) } == 8)
   }
 
   test("testDomain is the full cross product of test pairs") {

@@ -42,6 +42,32 @@ class StringFeatureSpec extends SparkSpec with Fixtures {
     Oracle.assertEquivalent(sparkSide,
       "SELECT a, b, CAST(levenshtein(a, b) AS INT) AS d FROM p",
       "p" -> pairs)
+
+    // M^l on a rectangular test domain (3 sources x 4 targets) where source
+    // 2 and target 13 have no name: their cells score 0. DuckDB has no
+    // lev*, so the ratio is computed from lev* = |a| + |b| - 2·LCS(a, b),
+    // the LCS by trying every subsequence of a as a LIKE pattern on b.
+    val b = mono.copy(
+      names1 = Seq((0L, "paris"), (1L, "")).toDF("id", "name"),
+      names2 = Seq((10L, "prais"), (11L, "banana"), (12L, "")).toDF("id", "name"),
+      test = Seq((0L, 10L), (1L, 11L), (2L, 12L), (2L, 13L)).toDF("src", "dst"))
+    Oracle.assertEquivalent(StringFeature.matrix(spark, b),
+      """WITH dom AS (SELECT s.src, d.dst FROM (SELECT DISTINCT src FROM t) s,
+        |                                     (SELECT DISTINCT dst FROM t) d),
+        |     named AS (SELECT dom.src, dom.dst, n1.name AS a, n2.name AS b
+        |               FROM dom JOIN n1 ON dom.src = n1.id JOIN n2 ON dom.dst = n2.id),
+        |     subseqs AS (SELECT src, dst, a, b, unnest(range(0, 1 << length(a))) AS mask FROM named),
+        |     lcs AS (SELECT src, dst, a, b, max(bit_count(mask)) AS l FROM subseqs
+        |             WHERE b LIKE '%' || coalesce(array_to_string(list_transform(
+        |               list_filter(range(1, length(a) + 1), k -> (mask >> (k - 1)) & 1 = 1),
+        |               k -> substring(a, k, 1)), '%'), '') || '%'
+        |             GROUP BY src, dst, a, b)
+        |SELECT dom.src AS src, dom.dst AS dst,
+        |       CASE WHEN lcs.src IS NULL THEN 0.0
+        |            WHEN length(a) + length(b) = 0 THEN 1.0
+        |            ELSE 2.0 * l / (length(a) + length(b)) END AS score
+        |FROM dom LEFT JOIN lcs ON dom.src = lcs.src AND dom.dst = lcs.dst""".stripMargin,
+      "t" -> b.test, "n1" -> b.names1, "n2" -> b.names2)
   }
 
   test("mono-lingual gold pairs have near-perfect string similarity") {
