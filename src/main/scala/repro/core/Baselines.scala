@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.SparkSession
 import repro.kg.EaBenchmark
 import repro.text.HashVectors
 
@@ -39,7 +38,7 @@ object Baselines {
     * and column (mutual best matches — BootEA's one-to-one constrained
     * strategy) are promoted to anchor pairs and propagation is re-run.
     */
-  private def bootstrapMatrix(spark: SparkSession, b: EaBenchmark, fs: FeatureSet): LocalMatrix = {
+  private def bootstrapMatrix(b: EaBenchmark, fs: FeatureSet): LocalMatrix = {
     // Only unambiguous mutual-best pairs may become anchors: positive
     // score, and a source/target that appears in exactly one confident
     // cell (zero rows/columns on sparse KGs otherwise tie pairwise and
@@ -49,7 +48,7 @@ object Baselines {
     val perSrc = cand.groupMapReduce(_._1)(_ => 1)(_ + _)
     val perDst = cand.groupMapReduce(_._2)(_ => 1)(_ + _)
     val extra = cand.filter { case (s, d) => perSrc(s) == 1 && perDst(d) == 1 }.distinct
-    StructuralFeature.matrix(spark, b, extraPairs = extra)
+    StructuralFeature.matrix(b, extraPairs = extra)
   }
 
   /** Representation-level fusion proxy: each entity gets ONE unified
@@ -73,18 +72,19 @@ object Baselines {
   /** The similarity matrix of a named baseline, scored on `fs` on the
     * driver, or one of `fs`'s own matrices.
     */
-  def matrix(spark: SparkSession, b: EaBenchmark, fs: FeatureSet, name: String): LocalMatrix =
+  def matrix(b: EaBenchmark, fs: FeatureSet, name: String): LocalMatrix =
     name match {
-      case "structShallow"   => StructuralFeature.matrix(spark, b, layers = 1)
+      case "structShallow"   => StructuralFeature.matrix(b, layers = 1)
       case "structStandard"  => fs.local(Ceaff.Struct)
-      case "structDeep"      => StructuralFeature.matrix(spark, b, layers = 3)
-      case "structBootstrap" => bootstrapMatrix(spark, b, fs)
+      case "structDeep"      => StructuralFeature.matrix(b, layers = 3)
+      case "structBootstrap" => bootstrapMatrix(b, fs)
       case "repFusion"       => repFusionMatrix(fs)
       case other => throw new IllegalArgumentException(s"unknown baseline '$other'")
     }
 
-  /** Independent-decision accuracy of a named baseline. */
-  def accuracy(spark: SparkSession, b: EaBenchmark, fs: FeatureSet, name: String): Double =
-    Evaluation.accuracy(
-      LocalMatrix.pairsDF(spark, SimilarityMatrix.rowArgmax(matrix(spark, b, fs, name))), b.test)
+  /** Independent-decision accuracy of a named baseline against `b`'s test
+    * pairs, on the driver.
+    */
+  def accuracy(b: EaBenchmark, fs: FeatureSet, name: String): Double =
+    Evaluation.accuracy(SimilarityMatrix.rowArgmax(matrix(b, fs, name)), b.testPairs)
 }

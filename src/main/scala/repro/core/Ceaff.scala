@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.col
 import repro.kg.{BenchmarkGen, EaBenchmark}
 
 /** Which parts of CEAFF to run — each flag corresponds to one ablation
@@ -90,11 +89,15 @@ object FeatureSet {
 }
 
 /** Outcome of one CEAFF run: the matching `(src, dst)`, the fused
-  * similarity matrix on the driver and the effective per-feature weights.
+  * similarity matrix and the effective per-feature weights, all on the
+  * driver.
   */
-final case class CeaffResult(matches: DataFrame, local: LocalMatrix, weights: Map[String, Double]) {
+final case class CeaffResult(matching: Seq[(Long, Long)], local: LocalMatrix,
+                             weights: Map[String, Double])(spark: SparkSession) {
+  /** The matching as a local relation, built on first read. */
+  lazy val matches: DataFrame = LocalMatrix.pairsDF(spark, matching)
   /** The fused matrix as a local relation, built on first read. */
-  lazy val fused: DataFrame = local.toDF(matches.sparkSession)
+  lazy val fused: DataFrame = local.toDF(spark)
 }
 
 /** End-to-end CEAFF pipeline (paper Fig. 2): feature generation →
@@ -106,39 +109,36 @@ object Ceaff {
   val Str = "str"
   val Textual = "textual"
 
-  /** Compute all three features for a benchmark, in three steps:
+  /** Compute all three features for a benchmark, on the driver, from its
+    * driver copies (which the first call collects), in three steps:
     *
-    *  1. the names, and their embeddings averaged from the collected
-    *     dictionaries ([[SemanticFeature.embedNames]]), on the driver;
-    *  2. both KGs' structural vectors, propagated on the driver over the
-    *     collected names' ids ([[StructuralFeature.embedBoth]]);
-    *  3. each feature's matrix, every cell of the test domain scored on the
-    *     driver from those tables ([[EntityTables.score]]).
+    *  1. each side's name embeddings, averaged from its dictionary
+    *     ([[SemanticFeature.embedNames]]);
+    *  2. both KGs' structural vectors, propagated from the seed pairs
+    *     ([[StructuralFeature.embedBoth]]);
+    *  3. each feature's matrix, every cell of the test domain scored from
+    *     those tables ([[EntityTables.score]]).
     *
     * Nothing is cached: the feature set holds every matrix and embedding
     * on the driver.
     */
   def features(spark: SparkSession, b: EaBenchmark): FeatureSet = {
-    import spark.implicits._
-    val (sem1, names1) = SemanticFeature.embedNames(b.names1, b.dict1, BenchmarkGen.Dim)
-    val (sem2, names2) = SemanticFeature.embedNames(b.names2, b.dict2, BenchmarkGen.Dim)
-    val (st1, st2) = StructuralFeature.embedBoth(spark, b,
-      b.seeds.select(col("src"), col("dst")).as[(Long, Long)].collect(), names1.keys, names2.keys)
-    val tables = EntityTables(st1, st2, sem1, sem2, names1, names2)
-    val grid = SimilarityMatrix.testGrid(b.test)
+    val sem1 = SemanticFeature.embedNames(b.labels1, b.dictionary1, BenchmarkGen.Dim)
+    val sem2 = SemanticFeature.embedNames(b.labels2, b.dictionary2, BenchmarkGen.Dim)
+    val (st1, st2) = StructuralFeature.embedBoth(b, b.seedPairs)
+    val tables = EntityTables(st1, st2, sem1, sem2, b.labels1, b.labels2)
+    val grid = SimilarityMatrix.testGrid(b)
     val matrices = Seq(Struct, Sem, Str).map(f => f -> grid.tabulate(tables.score(f))).toMap
     new FeatureSet(st1, st2, sem1, sem2, matrices, f => matrices(f).toDF(spark), Nil)
   }
 
   /** The scores of `features` on each of `pairs`, in order — used by the LR
     * baseline over its training pairs. The cells are scored like
-    * [[features]]' matrices, against `fs`'s embeddings and `b`'s names
-    * collected to the driver.
+    * [[features]]' matrices, against `fs`'s embeddings and `b`'s names.
     */
   def scoresOn(b: EaBenchmark, fs: FeatureSet, pairs: Seq[(Long, Long)],
                features: Seq[String]): Seq[Array[Double]] = {
-    import EntityTables.names
-    val tables = EntityTables(fs.struct1, fs.struct2, fs.sem1, fs.sem2, names(b.names1), names(b.names2))
+    val tables = EntityTables(fs.struct1, fs.struct2, fs.sem1, fs.sem2, b.labels1, b.labels2)
     val score = features.map(tables.score)
     pairs.map { case (s, d) => score.map(_(s, d)).toArray }
   }
@@ -180,11 +180,10 @@ object Ceaff {
     else SimilarityMatrix.rowArgmax(fused)
 
   /** Run fusion + alignment on precomputed features. Both run on the
-    * driver, on `fs`'s matrices, and the matches are a local relation, so
-    * a run starts no Spark job.
+    * driver, on `fs`'s matrices, so a run starts no Spark job.
     */
   def run(spark: SparkSession, fs: FeatureSet, cfg: CeaffConfig): CeaffResult = {
     val (w, fused) = fuseOf(fs, cfg)
-    CeaffResult(LocalMatrix.pairsDF(spark, align(fused, cfg)), fused, w)
+    CeaffResult(align(fused, cfg), fused, w)(spark)
   }
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.col
+import repro.kg.Label
 import repro.text.{HashVectors, Levenshtein}
 
 /** The entity-level inputs of the three feature scores, held on the
@@ -12,7 +13,7 @@ import repro.text.{HashVectors, Levenshtein}
 final case class EntityTables(
     struct1: EntityTables.Vectors, struct2: EntityTables.Vectors,
     sem1: EntityTables.Vectors, sem2: EntityTables.Vectors,
-    names1: Map[Long, String], names2: Map[Long, String]) {
+    names1: Map[Long, Label], names2: Map[Long, Label]) {
   import EntityTables.{cosine, ratio}
 
   /** Feature `f`'s score of a cell `(src, dst)`: the calibrated structural
@@ -42,9 +43,9 @@ object EntityTables {
   /** Levenshtein ratio of `s`'s name in `n1` and `d`'s in `n2`; 0 when
     * either entity has no name.
     */
-  def ratio(n1: Map[Long, String], n2: Map[Long, String], s: Long, d: Long): Double =
+  def ratio(n1: Map[Long, Label], n2: Map[Long, Label], s: Long, d: Long): Double =
     (n1.get(s), n2.get(d)) match {
-      case (Some(a), Some(b)) => Levenshtein.ratio(a, b)
+      case (Some(a), Some(b)) => Levenshtein.ratio(a.text, b.text)
       case _                  => 0.0
     }
 
@@ -53,12 +54,6 @@ object EntityTables {
     import emb.sparkSession.implicits._
     emb.select(col("id"), col("vec")).as[(Long, Seq[Double])].collect()
       .map { case (id, v) => id -> v.toArray }.toMap
-  }
-
-  /** A names table `(id, name, ...)` collected to the driver. */
-  def names(ns: DataFrame): Map[Long, String] = {
-    import ns.sparkSession.implicits._
-    ns.select(col("id"), col("name")).as[(Long, String)].collect().toMap
   }
 
   /** `v` as an embedding table `(id, vec)`: a local relation, ordered by

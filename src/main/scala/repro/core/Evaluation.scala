@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
+import repro.kg.EaBenchmark
 
 /** Ranking metrics for the independent-decision evaluation (Table VI). */
 final case class RankingMetrics(hitsAt1: Double, hitsAt10: Double, mrr: Double)
@@ -16,15 +16,20 @@ final case class RankingMetrics(hitsAt1: Double, hitsAt10: Double, mrr: Double)
 object Evaluation {
 
   /** Accuracy of a matching `(src, dst)` against gold test pairs
-    * `(src, dst)`: the share of gold rows whose pair is in the matching.
-    * Unmatched sources count as wrong. Both are collected to the driver.
+    * `(src, dst)`: the share of gold pairs that are in the matching.
+    * Unmatched sources count as wrong.
     */
-  def accuracy(matches: DataFrame, gold: DataFrame): Double = {
-    val g = pairs(gold)
-    require(g.nonEmpty, "empty gold set")
-    val hit = pairs(matches).toSet
-    g.count(hit).toDouble / g.length
+  def accuracy(matching: Seq[(Long, Long)], gold: Seq[(Long, Long)]): Double = {
+    require(gold.nonEmpty, "empty gold set")
+    val hit = matching.toSet
+    gold.count(hit).toDouble / gold.length
   }
+
+  /** [[accuracy]] of a matching table against a gold table, both collected
+    * to the driver.
+    */
+  def accuracy(matches: DataFrame, gold: DataFrame): Double =
+    accuracy(EaBenchmark.pairs(matches), EaBenchmark.pairs(gold))
 
   /** Hits@1, Hits@10 and MRR of a similarity matrix w.r.t. gold pairs.
     * The rank of a gold target is its 1-based position in the source's
@@ -32,8 +37,8 @@ object Evaluation {
     * gold pair absent from the matrix counts as an infinite rank. The
     * reciprocal ranks add in gold (src, dst) order.
     */
-  def rankingMetrics(m: LocalMatrix, gold: DataFrame): RankingMetrics = {
-    val g = pairs(gold).sorted
+  def rankingMetrics(m: LocalMatrix, gold: Seq[(Long, Long)]): RankingMetrics = {
+    val g = gold.sorted
     require(g.nonEmpty, "empty gold set")
     val ranks = g.flatMap { case (s, d) => rank(m, s, d) }
     RankingMetrics(
@@ -42,11 +47,11 @@ object Evaluation {
       mrr = ranks.foldLeft(0.0)(_ + 1.0 / _) / g.length)
   }
 
-  /** [[rankingMetrics]] of a matrix `(src, dst, score)`, collected to the
-    * driver.
+  /** [[rankingMetrics]] of a matrix `(src, dst, score)` against a gold
+    * table, both collected to the driver.
     */
   def rankingMetrics(m: DataFrame, gold: DataFrame): RankingMetrics =
-    rankingMetrics(LocalMatrix.of(m), gold)
+    rankingMetrics(LocalMatrix.of(m), EaBenchmark.pairs(gold))
 
   /** The rank of cell `(s, d)` in its row of `m`, if `m` has the cell. */
   private def rank(m: LocalMatrix, s: Long, d: Long): Option[Int] = {
@@ -60,10 +65,5 @@ object Evaluation {
         x > v || (x == v && j < c)
       })
     }
-  }
-
-  private def pairs(df: DataFrame): Array[(Long, Long)] = {
-    import df.sparkSession.implicits._
-    df.select(col("src"), col("dst")).as[(Long, Long)].collect()
   }
 }

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions.col
 import repro.kg.{EaBenchmark, NameModel}
 
 /** Learning-based weighting baseline (paper §VII-E, "LR").
@@ -19,13 +18,12 @@ object LRFusion {
   val NegativesPerPositive = 10
 
   /** The labelled training pairs `(src, dst, label)`, built on the driver
-    * from one collect of the seed pairs, in their order: each positive is
-    * followed by its negatives. Negative targets are drawn
-    * deterministically from the seed-target pool.
+    * from `b`'s seed pairs, in their order: each positive is followed by its
+    * negatives. Negative targets are drawn deterministically from the
+    * seed-target pool.
     */
   def trainingDomain(b: EaBenchmark, seed: Long = 99): Seq[(Long, Long, Double)] = {
-    import b.seeds.sparkSession.implicits._
-    val pairs = b.seeds.select(col("src"), col("dst")).as[(Long, Long)].collect().toSeq
+    val pairs = b.seedPairs
     val dstPool = pairs.map(_._2).sorted.toArray
     require(dstPool.length >= 2, "need at least two seed pairs for negatives")
     pairs.flatMap { case (u, v) =>

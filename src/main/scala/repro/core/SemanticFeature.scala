@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.col
+import repro.kg.{EaBenchmark, Label}
 import repro.text.HashVectors
 
 /** Semantic feature `M^n`: averaged word embeddings of entity names
@@ -15,32 +15,20 @@ import repro.text.HashVectors
   */
 object SemanticFeature {
 
-  /** Name embeddings `(id, vec)` for one KG side ([[embedNames]]), as a
-    * local relation.
+  /** Name embeddings `(id, vec)` for one KG side ([[embedNames]]) from its
+    * names and dictionary tables, as a local relation.
     */
   def nameEmbeddings(spark: SparkSession, names: DataFrame, dict: DataFrame,
                      dim: Int): DataFrame =
-    EntityTables.relation(spark, embedNames(names, dict, dim)._1)
+    EntityTables.relation(spark, embedNames(EaBenchmark.labels(names), EaBenchmark.dictionary(dict), dim))
 
-  /** One KG side's name embeddings and names, from one collect of the
-    * names and one of the dictionary. Each name is averaged on the driver
+  /** One KG side's name embeddings, each name averaged on the driver
     * ([[average]]); entities with no in-dictionary token are kept with a
     * zero vector so the matrix stays dense.
     */
-  def embedNames(names: DataFrame, dict: DataFrame, dim: Int): (EntityTables.Vectors, Map[Long, String]) = {
-    import names.sparkSession.implicits._
-    val vectors = dictionary(dict)
-    val rows = names.select(col("id"), col("name"), col("tokens")).as[(Long, String, Seq[String])].collect()
-    (rows.map { case (id, _, t) => id -> average(t, vectors, dim) }.toMap,
-     rows.map { case (id, n, _) => id -> n }.toMap)
-  }
-
-  /** A dictionary `(token, vec)` collected to the driver. */
-  private def dictionary(dict: DataFrame): Map[String, Array[Double]] = {
-    import dict.sparkSession.implicits._
-    dict.select(col("token"), col("vec")).as[(String, Seq[Double])].collect()
-      .map { case (t, v) => t -> v.toArray }.toMap
-  }
+  def embedNames(labels: Map[Long, Label], dictionary: Map[String, Array[Double]],
+                 dim: Int): EntityTables.Vectors =
+    labels.map { case (id, l) => id -> average(l.tokens, dictionary, dim) }
 
   /** The average of a name's in-dictionary token vectors, added in token
     * order; the zero vector when every token is out of vocabulary.

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.{broadcast, col, lit}
+import repro.kg.EaBenchmark
 
 /** Operations on similarity matrices.
   *
@@ -41,15 +42,13 @@ object SimilarityMatrix {
     test.select(col("src")).repartition(col("src"))
       .crossJoin(broadcast(test.select(col("dst"))))
 
-  /** [[testDomain]] on the driver, from one collect of the test pairs: the
-    * sorted test source ids × the sorted test target ids, every cell
-    * scoring 0 until it is [[LocalMatrix.tabulate]]d.
+  /** [[testDomain]] on the driver, from `b`'s test pairs: the sorted test
+    * source ids × the sorted test target ids, every cell scoring 0 until it
+    * is [[LocalMatrix.tabulate]]d.
     */
-  def testGrid(test: DataFrame): LocalMatrix = {
-    import test.sparkSession.implicits._
-    val pairs = test.select(col("src"), col("dst")).as[(Long, Long)].collect()
-    LocalMatrix.grid(LocalMatrix.ids(pairs.map(_._1)), LocalMatrix.ids(pairs.map(_._2)), 0.0)
-  }
+  def testGrid(b: EaBenchmark): LocalMatrix =
+    LocalMatrix.grid(LocalMatrix.ids(b.testPairs.map(_._1).toArray),
+      LocalMatrix.ids(b.testPairs.map(_._2).toArray), 0.0)
 
   /** Independent (non-collective) decision rule: per source entity take
     * the highest-scoring target; ties broken towards the smallest target

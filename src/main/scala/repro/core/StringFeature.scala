@@ -9,11 +9,9 @@ import repro.kg.EaBenchmark
   */
 object StringFeature {
 
-  /** Full `M^l` for a benchmark: both name tables are collected, and every
-    * cell of the test domain is scored on the driver.
+  /** Full `M^l` for a benchmark: every cell of the test domain scored on
+    * the driver from `b`'s names.
     */
-  def matrix(spark: SparkSession, b: EaBenchmark): DataFrame = {
-    val (n1, n2) = (EntityTables.names(b.names1), EntityTables.names(b.names2))
-    SimilarityMatrix.testGrid(b.test).tabulate((s, d) => EntityTables.ratio(n1, n2, s, d)).toDF(spark)
-  }
+  def matrix(spark: SparkSession, b: EaBenchmark): DataFrame =
+    SimilarityMatrix.testGrid(b).tabulate((s, d) => EntityTables.ratio(b.labels1, b.labels2, s, d)).toDF(spark)
 }

@@ -107,30 +107,21 @@ object StructuralFeature {
             anchors: DataFrame, side: Int,
             dim: Int = BenchmarkGen.Dim, layers: Int = DefaultLayers): DataFrame = {
     import spark.implicits._
-    val edges = triples.select(col("src"), col("dst")).as[(Long, Long)].collect()
     val ids = universe.select(col("id")).as[Long].collect()
-    EntityTables.relation(spark, propagate(edges, ids, EntityTables.vectors(anchors), dim, layers))
+    EntityTables.relation(spark,
+      propagate(EaBenchmark.edges(triples), ids, EntityTables.vectors(anchors), dim, layers))
   }
 
-  /** Both KGs' embeddings, anchored on `pairs`, from one collect of both
-    * KGs' edges and one [[propagate]] per side: every vector has the bits
-    * of the per-side [[embed]].
-    *
-    * @param ids1 every entity of KG 1; `ids2` likewise
+  /** Both KGs' embeddings, anchored on `pairs`: one [[propagate]] per side
+    * over `b`'s edges and named entities, so every vector has the bits of
+    * the per-side [[embed]].
     */
-  def embedBoth(spark: SparkSession, b: EaBenchmark, pairs: Iterable[(Long, Long)],
-                ids1: Iterable[Long], ids2: Iterable[Long],
+  def embedBoth(b: EaBenchmark, pairs: Iterable[(Long, Long)],
                 layers: Int = DefaultLayers): (EntityTables.Vectors, EntityTables.Vectors) = {
-    import spark.implicits._
     val dim = BenchmarkGen.Dim
-    def withSide(t: DataFrame, s: Int) = t.select(lit(s), col("src"), col("dst"))
-    val edges = withSide(b.triples1, 1).union(withSide(b.triples2, 2))
-      .as[(Int, Long, Long)].collect()
     val anchored = pairs.map { case (u, v) => (u, v, anchorVector(u, v, dim)) }
-    def side(s: Int, ids: Iterable[Long], a: EntityTables.Vectors) =
-      propagate(edges.collect { case (`s`, u, v) => (u, v) }, ids, a, dim, layers)
-    (side(1, ids1, anchored.map { case (u, _, x) => u -> x }.toMap),
-     side(2, ids2, anchored.map { case (_, v, x) => v -> x }.toMap))
+    (propagate(b.edges1, b.labels1.keys, anchored.map { case (u, _, x) => u -> x }.toMap, dim, layers),
+     propagate(b.edges2, b.labels2.keys, anchored.map { case (_, v, x) => v -> x }.toMap, dim, layers))
   }
 
   /** The anchor vector a seed pair `(u, v)` shares on both sides. */
@@ -157,12 +148,9 @@ object StructuralFeature {
     * @param extraPairs additional anchored pairs (bootstrapping baselines
     *                   append confident matches here)
     */
-  def matrix(spark: SparkSession, b: EaBenchmark, layers: Int = DefaultLayers,
+  def matrix(b: EaBenchmark, layers: Int = DefaultLayers,
              extraPairs: Iterable[(Long, Long)] = Nil): LocalMatrix = {
-    import spark.implicits._
-    def ids(names: DataFrame) = names.select(col("id")).as[Long].collect()
-    val seeds = b.seeds.select(col("src"), col("dst")).as[(Long, Long)].collect()
-    val (v1, v2) = embedBoth(spark, b, seeds ++ extraPairs, ids(b.names1), ids(b.names2), layers)
-    SimilarityMatrix.testGrid(b.test).tabulate((s, d) => calibrated(EntityTables.cosine(v1, v2, s, d), s, d))
+    val (v1, v2) = embedBoth(b, b.seedPairs ++ extraPairs, layers)
+    SimilarityMatrix.testGrid(b).tabulate((s, d) => calibrated(EntityTables.cosine(v1, v2, s, d), s, d))
   }
 }

@@ -82,13 +82,13 @@ object Experiments {
   def accuracies(spark: SparkSession, b: EaBenchmark): Seq[(String, Double)] = {
     val fs = Ceaff.features(spark, b)
     def ceaff(cfg: CeaffConfig): Double =
-      Evaluation.accuracy(Ceaff.run(spark, fs, cfg).matches, b.test)
+      Evaluation.accuracy(Ceaff.run(spark, fs, cfg).matching, b.testPairs)
     accuracyMethods.map { m =>
       progress(s"${b.scenario.name}: running $m")
       m -> (m match {
         case "ceaff"      => ceaff(CeaffConfig())
         case "ceaffNoStr" => ceaff(CeaffConfig(useString = false))
-        case baseline     => Baselines.accuracy(spark, b, fs, baseline)
+        case baseline     => Baselines.accuracy(b, fs, baseline)
       })
     }
   }
@@ -145,14 +145,14 @@ object Experiments {
     val rows = ablations.map { case (name, cfg) =>
       progress(s"${b.scenario.name}: ablation '$name'")
       val r = Ceaff.run(spark, fs, cfg)
-      val a = Evaluation.accuracy(r.matches, b.test)
+      val a = Evaluation.accuracy(r.matching, b.testPairs)
       progress(s"${b.scenario.name}: '$name' acc=$a weights=${
         r.weights.view.mapValues(w => f"$w%.3f").toMap}")
       name -> a
     }
     val lrWeights = LRFusion.learnWeights(spark, b, fs)
     val lrRun = Ceaff.run(spark, fs, CeaffConfig(fixedWeights = Some(lrWeights)))
-    rows :+ ("LR" -> Evaluation.accuracy(lrRun.matches, b.test))
+    rows :+ ("LR" -> Evaluation.accuracy(lrRun.matching, b.testPairs))
   }
 
   def table5(spark: SparkSession, scale: Double): Seq[(String, String, Double)] =
@@ -176,13 +176,13 @@ object Experiments {
       val fs = Ceaff.features(spark, b)
       val baseRows = Baselines.names.map { name =>
         progress(s"${sc.name}: ranking $name")
-        val r = Evaluation.rankingMetrics(Baselines.matrix(spark, b, fs, name), b.test)
+        val r = Evaluation.rankingMetrics(Baselines.matrix(b, fs, name), b.testPairs)
         RankRow(name, sc.name, r.hitsAt1, Some(r.hitsAt10), Some(r.mrr))
       }
       progress(s"${sc.name}: ranking ceaff")
       val r = Ceaff.run(spark, fs, CeaffConfig())
-      val indep = Evaluation.rankingMetrics(r.local, b.test)
-      val collAcc = Evaluation.accuracy(r.matches, b.test)
+      val indep = Evaluation.rankingMetrics(r.local, b.testPairs)
+      val collAcc = Evaluation.accuracy(r.matching, b.testPairs)
       val rows = baseRows ++ Seq(
         RankRow("ceaffNoC", sc.name, indep.hitsAt1, Some(indep.hitsAt10), Some(indep.mrr)),
         RankRow("ceaff", sc.name, collAcc, None, None))

@@ -19,8 +19,18 @@ final case class GoldPair(src: Long, dst: Long)
 /** Word-embedding dictionary entry for one side's language. */
 final case class DictEntry(token: String, vec: Array[Double])
 
+/** An entity's name as the features read it: the surface form and its
+  * tokens.
+  */
+final case class Label(text: String, tokens: Seq[String])
+
 /** A generated EA benchmark: two KGs, names, embedding dictionaries and
   * the seed/test split of the gold alignment (30% seeds, paper §VII-A).
+  *
+  * Every table also has a driver copy, which the pipeline reads instead of
+  * the table. Each copy is collected from Spark on its first read, by one
+  * reader of the companion, and kept; `cached()` fills none of them, and
+  * `copy` gives a benchmark whose copies are read afresh.
   */
 final case class EaBenchmark(
     scenario: Scenario,
@@ -30,6 +40,17 @@ final case class EaBenchmark(
     dict1: DataFrame, dict2: DataFrame,       // (token, vec)
     seeds: DataFrame,                         // (src, dst)
     test: DataFrame) {                        // (src, dst)
+  import EaBenchmark._
+
+  lazy val edges1: Seq[(Long, Long)] = edges(triples1)
+  lazy val edges2: Seq[(Long, Long)] = edges(triples2)
+  lazy val labels1: Map[Long, Label] = labels(names1)
+  lazy val labels2: Map[Long, Label] = labels(names2)
+  lazy val dictionary1: Map[String, Array[Double]] = dictionary(dict1)
+  lazy val dictionary2: Map[String, Array[Double]] = dictionary(dict2)
+  /** The seed pairs in their collect order, which LR's gradient sums follow. */
+  lazy val seedPairs: Seq[(Long, Long)] = pairs(seeds)
+  lazy val testPairs: Seq[(Long, Long)] = pairs(test)
 
   /** Cache every member; benchmarks are re-read by all three features. */
   def cached(): EaBenchmark = copy(
@@ -41,6 +62,40 @@ final case class EaBenchmark(
   def unpersistAll(): Unit =
     Seq(triples1, triples2, names1, names2, dict1, dict2, seeds, test)
       .foreach(_.unpersist())
+}
+
+/** The readers of a benchmark's tables: each collects one table to the
+  * driver with one Spark job.
+  */
+object EaBenchmark {
+
+  /** A KG's triples `(src, rel, dst)` as edges `(src, dst)`. */
+  def edges(triples: DataFrame): Seq[(Long, Long)] = {
+    import triples.sparkSession.implicits._
+    triples.select(col("src"), col("dst")).as[(Long, Long)].collect().toSeq
+  }
+
+  /** A names table `(id, name, tokens, ...)`, by id. */
+  def labels(names: DataFrame): Map[Long, Label] = {
+    import names.sparkSession.implicits._
+    names.select(col("id"), col("name"), col("tokens")).as[(Long, String, Seq[String])].collect()
+      .map { case (id, n, t) => id -> Label(n, t) }.toMap
+  }
+
+  /** A dictionary `(token, vec)`, by token. */
+  def dictionary(dict: DataFrame): Map[String, Array[Double]] = {
+    import dict.sparkSession.implicits._
+    dict.select(col("token"), col("vec")).as[(String, Seq[Double])].collect()
+      .map { case (t, v) => t -> v.toArray }.toMap
+  }
+
+  /** Alignment pairs `(src, dst)` — seed, test or gold pairs, or a
+    * matching — in collect order.
+    */
+  def pairs(df: DataFrame): Seq[(Long, Long)] = {
+    import df.sparkSession.implicits._
+    df.select(col("src"), col("dst")).as[(Long, Long)].collect().toSeq
+  }
 }
 
 /** Synthetic EA benchmark generator (substitute for DBP15K / DBP100K /

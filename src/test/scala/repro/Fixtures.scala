@@ -18,6 +18,12 @@ trait Fixtures { self: SparkSpec =>
       (v, j) <- row.zipWithIndex
     } yield (i.toLong, j.toLong, v))
 
+  /** A names table `(id, name, tokens)`, each name tokenised on spaces. */
+  def namesTable(ns: (Long, String)*): DataFrame = {
+    import spark.implicits._
+    ns.map { case (id, n) => (id, n, n.split(" ").toSeq) }.toDF("id", "name", "tokens")
+  }
+
   /** Collect a matching `(src, dst)` DataFrame to a map. */
   def matchMap(df: DataFrame): Map[Long, Long] = {
     import spark.implicits._

@@ -12,13 +12,13 @@ class BaselinesSpec extends SparkSpec with Fixtures {
   test("every roster baseline produces a full test-domain matrix") {
     val n = dense.test.count()
     Baselines.names.foreach { name =>
-      assert(Baselines.matrix(spark, dense, fsDense, name).cells.length == n * n,
+      assert(Baselines.matrix(dense, fsDense, name).cells.length == n * n,
         s"$name matrix incomplete")
     }
   }
 
   test("the standard structural baseline is CEAFF's own M^s") {
-    assert(Baselines.matrix(spark, dense, fsDense, "structStandard") eq fsDense.local(Ceaff.Struct))
+    assert(Baselines.matrix(dense, fsDense, "structStandard") eq fsDense.local(Ceaff.Struct))
   }
 
   test("every baseline releases the caches it makes") {
@@ -34,7 +34,7 @@ class BaselinesSpec extends SparkSpec with Fixtures {
     // The feature set is held on the driver: it caches nothing.
     assert(spark.sparkContext.getPersistentRDDs.keySet == before)
     Baselines.names.foreach { name =>
-      Baselines.accuracy(spark, b, fs, name)
+      Baselines.accuracy(b, fs, name)
       assert(spark.sparkContext.getPersistentRDDs.keySet == before, s"$name left a cache behind")
     }
     b.unpersistAll()
@@ -42,7 +42,7 @@ class BaselinesSpec extends SparkSpec with Fixtures {
 
   test("unknown baseline name is rejected") {
     intercept[IllegalArgumentException] {
-      Baselines.matrix(spark, dense, fsDense, "nope")
+      Baselines.matrix(dense, fsDense, "nope")
     }
   }
 
@@ -53,10 +53,10 @@ class BaselinesSpec extends SparkSpec with Fixtures {
     val sparse = BenchmarkGen
       .generate(spark, Scenario.SrprsEnFr, nGold = 150, nFringe = 50, seed = 7).cached()
     val fsSparse = Ceaff.features(spark, sparse)
-    val gainDense = Baselines.accuracy(spark, dense, fsDense, "structStandard") -
-      Baselines.accuracy(spark, dense, fsDense, "structShallow")
-    val gainSparse = Baselines.accuracy(spark, sparse, fsSparse, "structStandard") -
-      Baselines.accuracy(spark, sparse, fsSparse, "structShallow")
+    val gainDense = Baselines.accuracy(dense, fsDense, "structStandard") -
+      Baselines.accuracy(dense, fsDense, "structShallow")
+    val gainSparse = Baselines.accuracy(sparse, fsSparse, "structStandard") -
+      Baselines.accuracy(sparse, fsSparse, "structShallow")
     assert(gainSparse > gainDense,
       s"depth gain sparse=$gainSparse should exceed dense=$gainDense")
     fsSparse.unpersistAll()
@@ -64,20 +64,20 @@ class BaselinesSpec extends SparkSpec with Fixtures {
   }
 
   test("bootstrapping does not collapse the structural signal") {
-    val standard = Baselines.accuracy(spark, dense, fsDense, "structStandard")
-    val boot = Baselines.accuracy(spark, dense, fsDense, "structBootstrap")
+    val standard = Baselines.accuracy(dense, fsDense, "structStandard")
+    val boot = Baselines.accuracy(dense, fsDense, "structBootstrap")
     assert(boot >= standard - 0.1, s"bootstrap $boot vs standard $standard")
   }
 
   test("representation-level name fusion beats structure-only (paper's 2nd group > 1st group)") {
-    val rep = Baselines.accuracy(spark, dense, fsDense, "repFusion")
-    val structOnly = Baselines.accuracy(spark, dense, fsDense, "structStandard")
+    val rep = Baselines.accuracy(dense, fsDense, "repFusion")
+    val structOnly = Baselines.accuracy(dense, fsDense, "structStandard")
     assert(rep > structOnly, s"repFusion $rep vs structOnly $structOnly")
   }
 
   test("baseline accuracies are within [0,1]") {
     Baselines.names.foreach { name =>
-      val a = Baselines.accuracy(spark, dense, fsDense, name)
+      val a = Baselines.accuracy(dense, fsDense, name)
       assert(a >= 0.0 && a <= 1.0, s"$name accuracy $a")
     }
   }

@@ -86,10 +86,10 @@ class CeaffSpec extends SparkSpec with Fixtures {
     }
   }
 
-  /** Jobs of `Ceaff.features` (the names and dictionaries, both KGs'
-    * edges, the seed pairs and the test pairs, one collect each), an
-    * equal-weight `Ceaff.run` (none) and `Evaluation.accuracy` (the gold
-    * pairs) on the guard's benchmark.
+  /** Jobs of `Ceaff.features` on a fresh benchmark (one collect per table
+    * it reads: each KG's edges, names and dictionary, the seed pairs and the
+    * test pairs), an equal-weight `Ceaff.run` (none) and the driver
+    * `Evaluation.accuracy` on the test pairs `features` read (none).
     */
   private val MaxJobs = 8
 
@@ -101,12 +101,70 @@ class CeaffSpec extends SparkSpec with Fixtures {
     val ((fs, r), jobs) = JobCount(spark.sparkContext) {
       val fs = Ceaff.features(spark, b)
       val r = Ceaff.run(spark, fs, CeaffConfig(collective = false, adaptive = false))
-      Evaluation.accuracy(r.matches, b.test)
+      Evaluation.accuracy(r.matching, b.testPairs)
       (fs, r)
     }
     fs.unpersistAll(); b.unpersistAll()
     info(s"$jobs Spark jobs, bound $MaxJobs")
     assert(jobs <= MaxJobs, s"$jobs Spark jobs")
+  }
+
+  test("once features have run on a benchmark, reusing it starts no Spark job") {
+    val b = BenchmarkGen
+      .generate(spark, Scenario.SrprsEnFr, nGold = 60, nFringe = 20, seed = 3).cached()
+    val fs = Ceaff.features(spark, b)
+    val r = Ceaff.run(spark, fs, CeaffConfig())
+    val calls: Seq[(String, () => Any)] = Seq(
+      "Ceaff.features" -> (() => Ceaff.features(spark, b)),
+      "LRFusion.learnWeights" -> (() => LRFusion.learnWeights(spark, b, fs)),
+      "Evaluation.accuracy" -> (() => Evaluation.accuracy(r.matching, b.testPairs))) ++
+      Seq("structShallow", "structDeep", "structBootstrap")
+        .map(n => s"Baselines.matrix($n)" -> (() => Baselines.matrix(b, fs, n)))
+    val jobs = calls.map { case (name, call) => name -> JobCount(spark.sparkContext)(call())._2 }
+    assert(jobs.forall(_._2 == 0), jobs.filter(_._2 > 0).mkString(", "))
+
+    // A copy reads its tables afresh: a smaller test split, a smaller grid.
+    import spark.implicits._
+    val part = b.testPairs.take(7)
+    val fsPart = Ceaff.features(spark, b.copy(test = part.toDF("src", "dst")))
+    Seq(Ceaff.Struct, Ceaff.Sem, Ceaff.Str).foreach { f =>
+      val m = fsPart.local(f)
+      assert(m.srcs.toSeq == part.map(_._1).sorted && m.dsts.toSeq == part.map(_._2).sorted, f)
+    }
+    b.unpersistAll()
+  }
+
+  test("edge inputs: #src != #dst, an all-OOV name and a source no anchor reaches") {
+    import spark.implicits._
+    // KG1: sources 0-2 are tested, 3 and 4 are seeds; 2 reaches anchor 3
+    // only over three hops (2-5-6-3). KG2: targets 10-13 are tested, 14 and
+    // 15 are seeds. Source 1's tokens are all out of vocabulary.
+    def triples(es: (Long, Long)*) = es.map { case (s, d) => (s, 0L, d) }.toDF("src", "rel", "dst")
+    val words = Seq("alpha", "beta", "gamma", "delta", "omega", "seed", "far")
+    val dict = words.map(w => (w, repro.text.HashVectors.unitGaussian(s"w:$w", BenchmarkGen.Dim).toSeq))
+      .toDF("token", "vec")
+    val edge = cross.copy(
+      triples1 = triples(0L -> 3L, 1L -> 4L, 2L -> 5L, 5L -> 6L, 6L -> 3L),
+      triples2 = triples(10L -> 14L, 11L -> 15L, 12L -> 14L, 13L -> 15L),
+      names1 = namesTable(0L -> "alpha beta", 1L -> "qqq zzz", 2L -> "gamma", 3L -> "seed",
+        4L -> "seed alpha", 5L -> "far", 6L -> "far beta"),
+      names2 = namesTable(10L -> "alpha beta", 11L -> "delta", 12L -> "gamma", 13L -> "omega",
+        14L -> "seed", 15L -> "seed alpha"),
+      dict1 = dict, dict2 = dict,
+      seeds = Seq((3L, 14L), (4L, 15L)).toDF("src", "dst"),
+      test = Seq((0L, 10L), (1L, 11L), (2L, 12L), (2L, 13L)).toDF("src", "dst"))
+    val fs = Ceaff.features(spark, edge)
+
+    val daa = Ceaff.run(spark, fs, CeaffConfig()).matching
+    assert(daa.size == 3 && daa.map(_._2).distinct.size == 3, daa)
+    val indep = Ceaff.run(spark, fs, CeaffConfig(collective = false)).matching
+    assert(indep.map(_._1).sorted == Seq(0L, 1L, 2L), indep)
+
+    val mn = fs.local(Ceaff.Sem)
+    val oov = mn.srcs.indexOf(1L)
+    assert((0 until mn.cols).forall(c => mn.score(oov * mn.cols + c) == 0.0), "all-OOV row of M^n")
+    assert(fs.struct1(2L).forall(_ == 0.0), "unreached source has a structural vector")
+    assert(Seq(10L, 11L, 12L, 13L).forall(d => EntityTables.cosine(fs.struct1, fs.struct2, 2L, d) == 0.0))
   }
 
   test("generation, features and fusion do not depend on the partitioning") {

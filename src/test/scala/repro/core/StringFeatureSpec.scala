@@ -48,8 +48,8 @@ class StringFeatureSpec extends SparkSpec with Fixtures {
     // lev*, so the ratio is computed from lev* = |a| + |b| - 2·LCS(a, b),
     // the LCS by trying every subsequence of a as a LIKE pattern on b.
     val b = mono.copy(
-      names1 = Seq((0L, "paris"), (1L, "")).toDF("id", "name"),
-      names2 = Seq((10L, "prais"), (11L, "banana"), (12L, "")).toDF("id", "name"),
+      names1 = namesTable((0L, "paris"), (1L, "")),
+      names2 = namesTable((10L, "prais"), (11L, "banana"), (12L, "")),
       test = Seq((0L, 10L), (1L, 11L), (2L, 12L), (2L, 13L)).toDF("src", "dst"))
     Oracle.assertEquivalent(StringFeature.matrix(spark, b),
       """WITH dom AS (SELECT s.src, d.dst FROM (SELECT DISTINCT src FROM t) s,
@@ -67,7 +67,7 @@ class StringFeatureSpec extends SparkSpec with Fixtures {
         |            WHEN length(a) + length(b) = 0 THEN 1.0
         |            ELSE 2.0 * l / (length(a) + length(b)) END AS score
         |FROM dom LEFT JOIN lcs ON dom.src = lcs.src AND dom.dst = lcs.dst""".stripMargin,
-      "t" -> b.test, "n1" -> b.names1, "n2" -> b.names2)
+      "t" -> b.test, "n1" -> b.names1.select("id", "name"), "n2" -> b.names2.select("id", "name"))
   }
 
   test("mono-lingual gold pairs have near-perfect string similarity") {

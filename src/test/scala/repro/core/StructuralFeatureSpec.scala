@@ -10,7 +10,7 @@ class StructuralFeatureSpec extends SparkSpec with Fixtures {
 
   private lazy val b = BenchmarkGen
     .generate(spark, Scenario.Dbp100kWd, nGold = 150, nFringe = 50, seed = 7).cached()
-  private lazy val ms = StructuralFeature.matrix(spark, b).toDF(spark)
+  private lazy val ms = StructuralFeature.matrix(b).toDF(spark)
 
   test("embeddings cover every entity; norms are 1 (reached) or 0 (unreached)") {
     val (a1, _) = StructuralFeature.anchors(spark, b.seeds)
@@ -123,7 +123,7 @@ class StructuralFeatureSpec extends SparkSpec with Fixtures {
   test("structural matrix is deterministic") {
     def bits(m: DataFrame) = cells(m).map { case (s, d, v) =>
       (s, d) -> java.lang.Double.doubleToRawLongBits(v) }.toMap
-    assert(bits(StructuralFeature.matrix(spark, b).toDF(spark)) == bits(ms))
+    assert(bits(StructuralFeature.matrix(b).toDF(spark)) == bits(ms))
   }
 
   test("more seeds (extraPairs) improve or maintain the structural signal") {
@@ -131,7 +131,7 @@ class StructuralFeatureSpec extends SparkSpec with Fixtures {
     // should not get worse.
     val extra = b.test.select("src", "dst").limit((b.test.count() / 2).toInt)
       .as[(Long, Long)].collect()
-    val boosted = StructuralFeature.matrix(spark, b, extraPairs = extra).toDF(spark)
+    val boosted = StructuralFeature.matrix(b, extraPairs = extra).toDF(spark)
     val remaining = b.test.join(extra.toSeq.toDF("src", "dst"), Seq("src", "dst"), "left_anti")
     val base = Evaluation.accuracy(SimilarityMatrix.greedyMatch(ms), remaining)
     val more = Evaluation.accuracy(SimilarityMatrix.greedyMatch(boosted), remaining)
@@ -141,7 +141,7 @@ class StructuralFeatureSpec extends SparkSpec with Fixtures {
   test("sparse KGs carry weaker structural signal than dense ones") {
     val sparse = BenchmarkGen
       .generate(spark, Scenario.SrprsWd, nGold = 150, nFringe = 50, seed = 7).cached()
-    val msSparse = StructuralFeature.matrix(spark, sparse).toDF(spark)
+    val msSparse = StructuralFeature.matrix(sparse).toDF(spark)
     val accDense = Evaluation.accuracy(SimilarityMatrix.greedyMatch(ms), b.test)
     val accSparse = Evaluation.accuracy(SimilarityMatrix.greedyMatch(msSparse), sparse.test)
     assert(accSparse < accDense + 0.05,

@@ -46,7 +46,7 @@ class GoldenSpec extends SparkSpec with Fixtures {
     val b = BenchmarkGen.generate(spark, scenario, nGold, nGold / 2, seed = 7).cached()
     try {
       val fs = Ceaff.features(spark, b)
-      val baselines = Baselines.names.map(n => n -> Baselines.matrix(spark, b, fs, n))
+      val baselines = Baselines.names.map(n => n -> Baselines.matrix(b, fs, n))
       val lr = LRFusion.learnWeights(spark, b, fs)
       val runs = (Experiments.ablations :+ ("LR" -> CeaffConfig(fixedWeights = Some(lr))))
         .map { case (name, cfg) => name -> Ceaff.run(spark, fs, cfg) }
@@ -59,10 +59,10 @@ class GoldenSpec extends SparkSpec with Fixtures {
         "embeddings" -> digest(d => Seq(fs.struct1, fs.struct2, fs.sem1, fs.sem2).foreach(d.vectors)),
         "baselines" -> digest(d => baselines.foreach { case (n, m) => d.string(n); d.matrix(m) }),
         "tableV" -> digest(d => runs.foreach { case (n, r) =>
-          d.string(n); d.weights(r.weights); d.pairs(matchMap(r.matches).toSeq)
+          d.string(n); d.weights(r.weights); d.pairs(r.matching)
         }),
         "ranks" -> digest(d => ranked.foreach { case (n, m) =>
-          d.string(n); d.ranks(Evaluation.rankingMetrics(m, b.test))
+          d.string(n); d.ranks(Evaluation.rankingMetrics(m, b.testPairs))
         }))
     } finally b.unpersistAll()
   }
