@@ -16,6 +16,10 @@ import repro.{Fixtures, SparkSpec}
   * one of those matrices. A refactor that claims to keep the results must
   * leave every digest as recorded here. A change that means to move a
   * result records the new digests, and says why, in the same change.
+  *
+  * A generated graph depends only on (density, gold pairs, seed), so no two
+  * inputs share all three: DBP100K WD uses 250 gold pairs, as DBP15K ZH-EN
+  * (200) is dense too.
   */
 class GoldenSpec extends SparkSpec with Fixtures {
 
@@ -84,14 +88,14 @@ class GoldenSpec extends SparkSpec with Fixtures {
       "embeddings" -> "c29580f3c82a7a74ad43cb7c1408461cc4d745d56bfb53d137f7049db6d297b6",
       "ranks" -> "c263c702fb82e15e50f1fbcf7ff3c0efd16886755ad989e03fb014d2cc94631f",
       "tableV" -> "a0b2c44f3838538104e7c992e97fe57f6dd39af4d2d75c9ff0e17e4b7fb4e2dc")),
-    (Scenario.Dbp100kWd, 200L, Map(
-      "Ml" -> "b07649ecb693018aa829c0297203418da71388ad300877a5c90ea3d4dcc716a6",
-      "Mn" -> "9aa8dfe1a1a1cd6198e4c6f93476fe44ffafeeb077bdb8d303bff155485b4630",
-      "Ms" -> "2d756911643e5d929374c4db40a5a03e55421ea6cd6620d0999e09d3e1c07cbd",
-      "baselines" -> "f0092a497fa7eba52593762a7d7d470a382433024721a1ede7ea024ec7ccecab",
-      "embeddings" -> "d2de9a722e52108c60e572a1b7700488a29595aed739a89c698a005e9cd6b6fb",
-      "ranks" -> "7be76a9b415dacec183f8370069adf8b0e17fd32229628423b0c475ffc119f25",
-      "tableV" -> "03f3f19350772f62ddb83421f8fc74fe406a5617e7489ff8ace99a65474166a1")),
+    (Scenario.Dbp100kWd, 250L, Map(
+      "Ml" -> "6fe0f9da55459ea163cf5f3a6a935453161407c45a16d4494db9d80b0f4c7a13",
+      "Mn" -> "df7d7cf2cc9f9ad8a16a4bd7e5879efa3d502214990201a97d5aafbb539b617f",
+      "Ms" -> "1519b274b16c6a74a7a57476429b02eed4bf57b68036238fea49d342d6932494",
+      "baselines" -> "eab7fdeaeb299bc0be29b93123b0dfc167752051bad8c9ce193c4fb6614be25f",
+      "embeddings" -> "267255de0a1a8526cf78235afef6be6cb95d15a87ca87997fd8b7761402cedf5",
+      "ranks" -> "a91c123241aad0a9ba4c031acb4a1ddce056a2e69b33020fc790a15c280bf2bf",
+      "tableV" -> "536a91de2c5b9d0d1b5f0c4f4df9b1234adb48ccd96cfd9f68f8a5bc073a3a69")),
     (Scenario.SrprsYg, 150L, Map(
       "Ml" -> "d2af61c882535159113456ce4461b996e315d529f6ac9061154fbccf810c39bd",
       "Mn" -> "bc8a332b20c8cd798d23e37ac70f3c0844c4468cef46875828192ecda990c9bf",
