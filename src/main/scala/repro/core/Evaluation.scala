@@ -34,7 +34,7 @@ object Evaluation {
   /** Hits@1, Hits@10 and MRR of a similarity matrix w.r.t. gold pairs.
     * The rank of a gold target is its 1-based position in the source's
     * row ordered by descending score (ties by ascending target id). A
-    * gold pair absent from the matrix counts as an infinite rank. The
+    * gold pair outside the matrix's grid counts as an infinite rank. The
     * reciprocal ranks add in gold (src, dst) order.
     */
   def rankingMetrics(m: LocalMatrix, gold: Seq[(Long, Long)]): RankingMetrics = {
@@ -53,11 +53,13 @@ object Evaluation {
   def rankingMetrics(m: DataFrame, gold: DataFrame): RankingMetrics =
     rankingMetrics(LocalMatrix.of(m), EaBenchmark.pairs(gold))
 
-  /** The rank of cell `(s, d)` in its row of `m`, if `m` has the cell. */
+  /** The rank of cell `(s, d)` in its row of `m`, if the cell is in `m`'s
+    * grid.
+    */
   private def rank(m: LocalMatrix, s: Long, d: Long): Option[Int] = {
     val r = java.util.Arrays.binarySearch(m.srcs, s)
     val c = java.util.Arrays.binarySearch(m.dsts, d)
-    if (r < 0 || c < 0 || m.score(r * m.cols + c).isNaN) None
+    if (r < 0 || c < 0) None
     else {
       val v = m.score(r * m.cols + c)
       Some(1 + (0 until m.cols).count { j =>

@@ -7,52 +7,56 @@ import org.apache.spark.sql.functions.col
 /** A similarity matrix on the driver, the one form in which CEAFF builds,
   * fuses, matches and evaluates its matrices: `srcs` are the distinct
   * source ids (rows) and `dsts` the distinct target ids (columns), both
-  * ascending, and `score` holds the cells row-major. A cell absent from the
-  * matrix holds NaN. Cell index order is therefore (src asc, dst asc).
+  * ascending, and `score` holds every cell of `srcs` × `dsts` row-major.
+  * Cell index order is therefore (src asc, dst asc).
   *
   * Scores compare as Spark compares them: `-0.0` is read as `0.0` (Spark
   * finds them equal in every comparison and sort), and a NaN score is
   * rejected.
   */
 final class LocalMatrix(val srcs: Array[Long], val dsts: Array[Long], val score: Array[Double]) {
+  require(score.length.toLong == srcs.length.toLong * dsts.length,
+    s"${score.length} scores for ${srcs.length} x ${dsts.length} cells")
+
   def rows: Int = srcs.length
   def cols: Int = dsts.length
   def src(i: Int): Long = srcs(i / cols)
   def dst(i: Int): Long = dsts(i % cols)
 
-  /** Indices of the cells present in the matrix, in (src, dst) order. */
-  def cells: Array[Int] = Array.range(0, score.length).filter(i => !score(i).isNaN)
-
-  /** The matrix with every present cell `(s, d)` scored `f(s, d)` instead,
-    * one call per cell on the driver.
+  /** The matrix with every cell `(s, d)` scored `f(s, d)` instead, one
+    * call per cell on the driver.
     */
-  def tabulate(f: (Long, Long) => Double): LocalMatrix = {
-    val out = Array.fill(score.length)(Double.NaN)
-    cells.foreach(i => out(i) = LocalMatrix.checked(src(i), dst(i), f(src(i), dst(i))))
-    new LocalMatrix(srcs, dsts, out)
-  }
+  def tabulate(f: (Long, Long) => Double): LocalMatrix =
+    new LocalMatrix(srcs, dsts,
+      Array.tabulate(score.length)(i => LocalMatrix.checked(src(i), dst(i), f(src(i), dst(i)))))
 
-  /** The cells `is` as a local relation `(src, dst, score)`, which Spark
-    * reads from the driver without a job.
+  /** Every cell as a local relation `(src, dst, score)`, which Spark reads
+    * from the driver without a job.
     */
-  def toDF(spark: SparkSession, is: Array[Int] = cells): DataFrame = {
+  def toDF(spark: SparkSession): DataFrame = {
     import spark.implicits._
-    is.toSeq.map(i => (src(i), dst(i), score(i))).toDF("src", "dst", "score")
+    score.indices.map(i => (src(i), dst(i), score(i))).toDF("src", "dst", "score")
   }
 }
 
 object LocalMatrix {
 
-  /** The cells of `m` `(src, dst, score)`, collected with one Spark job. */
+  /** The cells of `m` `(src, dst, score)`, collected with one Spark job.
+    * `m` must hold each cell of its ids' grid exactly once.
+    */
   def of(m: DataFrame): LocalMatrix = {
     import m.sparkSession.implicits._
     val cells = m.select(col("src"), col("dst"), col("score")).as[(Long, Long, Double)].collect()
-    val out = grid(ids(cells.map(_._1)), ids(cells.map(_._2)), Double.NaN)
+    val out = grid(ids(cells.map(_._1)), ids(cells.map(_._2)), 0.0)
+    val seen = new Array[Boolean](out.score.length)
     cells.foreach { case (s, d, v) =>
       val i = Arrays.binarySearch(out.srcs, s) * out.cols + Arrays.binarySearch(out.dsts, d)
-      require(out.score(i).isNaN, s"cell ($s, $d) appears twice")
+      require(!seen(i), s"cell ($s, $d) appears twice")
+      seen(i) = true
       out.score(i) = checked(s, d, v)
     }
+    val absent = seen.indexOf(false)
+    require(absent < 0, s"cell (${out.src(absent)}, ${out.dst(absent)}) is absent")
     out
   }
 

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.Arrays
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.{broadcast, col, lit}
 import repro.kg.EaBenchmark
@@ -22,7 +23,7 @@ import repro.kg.EaBenchmark
 object SimilarityMatrix {
 
   /** Cosine-similarity matrix between two embedding tables `(id, vec)`
-    * over the given `domain` `(src, dst)` universe (typically
+    * over the given `domain` `(src, dst)`, a full grid (typically
     * [[testDomain]]). Pairs whose either side lacks an embedding (or
     * has a zero vector) score 0. The tables and the domain are collected,
     * and the cells scored on the driver.
@@ -62,7 +63,7 @@ object SimilarityMatrix {
     */
   def rowArgmax(m: LocalMatrix): Seq[(Long, Long)] =
     (0 until m.rows).map { r =>
-      val best = (r * m.cols until (r + 1) * m.cols).filter(i => !m.score(i).isNaN)
+      val best = (r * m.cols until (r + 1) * m.cols)
         .reduce((a, b) => if (m.score(b) > m.score(a)) b else a)
       (m.srcs(r), m.dst(best))
     }
@@ -75,39 +76,33 @@ object SimilarityMatrix {
   def confident(m: LocalMatrix): Array[Int] = {
     val rmax = Array.fill(m.rows)(Double.NegativeInfinity)
     val cmax = Array.fill(m.cols)(Double.NegativeInfinity)
-    val cells = m.cells
-    cells.foreach { i =>
+    m.score.indices.foreach { i =>
       val v = m.score(i)
       if (v > rmax(i / m.cols)) rmax(i / m.cols) = v
       if (v > cmax(i % m.cols)) cmax(i % m.cols) = v
     }
-    cells.filter(i => m.score(i) == rmax(i / m.cols) && m.score(i) == cmax(i % m.cols))
+    Array.range(0, m.score.length)
+      .filter(i => m.score(i) == rmax(i / m.cols) && m.score(i) == cmax(i % m.cols))
   }
 
-  /** Weighted sum `Σ wᵢ·Mᵢ` of matrices over a shared domain. Missing
-    * cells contribute 0, so the result is the union of the inputs'
-    * supports.
-    */
+  /** Weighted sum `Σ wᵢ·Mᵢ` of matrices over one grid. */
   def weightedSum(spark: SparkSession, terms: Seq[(DataFrame, Double)]): DataFrame =
     weightedSum(terms.map { case (m, w) => (LocalMatrix.of(m), w) }).toDF(spark)
 
-  /** [[weightedSum]] on the driver. Each cell adds `0.0 + w₁·a + w₂·b + …`
-    * over the terms that have it, in term order.
+  /** [[weightedSum]] on the driver. Every term must have the first term's
+    * ids; each cell adds `0.0 + w₁·a + w₂·b + …` in term order.
     */
   def weightedSum(terms: Seq[(LocalMatrix, Double)]): LocalMatrix = {
     require(terms.nonEmpty, "weightedSum of no matrices")
-    val srcs = LocalMatrix.ids(terms.flatMap(_._1.srcs).toArray)
-    val dsts = LocalMatrix.ids(terms.flatMap(_._1.dsts).toArray)
-    val out = Array.fill(srcs.length * dsts.length)(Double.NaN)
+    val first = terms.head._1
+    val out = new Array[Double](first.score.length)
     for ((m, w) <- terms) {
-      val rowOf = m.srcs.map(java.util.Arrays.binarySearch(srcs, _))
-      val colOf = m.dsts.map(java.util.Arrays.binarySearch(dsts, _))
-      m.cells.foreach { i =>
-        val o = rowOf(i / m.cols) * dsts.length + colOf(i % m.cols)
-        out(o) = (if (out(o).isNaN) 0.0 else out(o)) + m.score(i) * w
-        require(!out(o).isNaN, s"weighted sum is NaN at (${srcs(o / dsts.length)}, ${dsts(o % dsts.length)})")
-      }
+      require(Arrays.equals(m.srcs, first.srcs) && Arrays.equals(m.dsts, first.dsts),
+        "weightedSum of matrices over different grids")
+      out.indices.foreach(i => out(i) += m.score(i) * w)
     }
-    new LocalMatrix(srcs, dsts, out)
+    val nan = out.indexWhere(_.isNaN)
+    require(nan < 0, s"weighted sum is NaN at (${first.src(nan)}, ${first.dst(nan)})")
+    new LocalMatrix(first.srcs, first.dsts, out)
   }
 }

@@ -30,41 +30,34 @@ object StableMatching {
     * order: the matrix is collected once, then sorted and scanned on the
     * driver ([[deferredAcceptance]]).
     *
-    * @param m similarity matrix `(src, dst, score)`; preference lists must
-    *          be complete over the matrix's support
+    * @param m similarity matrix `(src, dst, score)`, a full grid
     * @return matches `(src, dst)`, `min(#src, #dst)` of them
-    * @throws IllegalArgumentException if the lists are incomplete and
-    *         fewer pairs can be matched
     */
   def daa(spark: SparkSession, m: DataFrame): DataFrame =
     LocalMatrix.pairsDF(spark, deferredAcceptance(LocalMatrix.of(m)))
 
   /** [[daa]] on the driver, in match order. */
   def deferredAcceptance(m: LocalMatrix): Seq[(Long, Long)] = {
-    val cells = m.cells
     // A cell index already orders (src asc, dst asc). The high half of its
     // sort key is a position of its score among all scores sorted: equal
     // scores find the same position, higher scores a later one.
-    val scores = cells.map(m.score)
+    val scores = m.score.clone()
     java.util.Arrays.sort(scores)
-    val keys = cells.map { i =>
+    val keys = Array.tabulate(scores.length) { i =>
       (scores.length - 1 - java.util.Arrays.binarySearch(scores, m.score(i)).toLong) << 32 | i
     }
     java.util.Arrays.sort(keys)
     val srcMatched = new Array[Boolean](m.rows)
     val dstMatched = new Array[Boolean](m.cols)
     val matched = Seq.newBuilder[(Long, Long)]
-    var n = 0
     keys.foreach { key =>
       val i = key.toInt
       val (r, c) = (i / m.cols, i % m.cols)
       if (!srcMatched(r) && !dstMatched(c)) {
         srcMatched(r) = true; dstMatched(c) = true
-        matched += ((m.srcs(r), m.dsts(c))); n += 1
+        matched += ((m.srcs(r), m.dsts(c)))
       }
     }
-    val target = math.min(m.rows, m.cols)
-    require(n == target, s"incomplete preference lists: matched $n of $target pairs")
     matched.result()
   }
 

@@ -28,10 +28,7 @@ final case class Scenario(
     group: String,
     lang1: LangSpec,
     lang2: LangSpec,
-    dense: Boolean) {
-  /** Cross-lingual iff the two sides render names differently. */
-  def crossLingual: Boolean = lang1.code != lang2.code
-}
+    dense: Boolean)
 
 object Scenario {
   // Language roster. `en` is the reference side. Mono-lingual datasets use
@@ -59,9 +56,4 @@ object Scenario {
     Dbp15kZhEn, Dbp15kJaEn, Dbp15kFrEn,
     Dbp100kWd, Dbp100kYg,
     SrprsEnFr, SrprsEnDe, SrprsWd, SrprsYg)
-
-  def byName(name: String): Scenario =
-    all.find(_.name == name).getOrElse(
-      throw new IllegalArgumentException(
-        s"unknown scenario '$name'; known: ${all.map(_.name).mkString(", ")}"))
 }

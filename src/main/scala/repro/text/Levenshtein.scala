@@ -1,8 +1,5 @@
 package repro.text
 
-import org.apache.spark.sql.functions.udf
-import org.apache.spark.sql.expressions.UserDefinedFunction
-
 /** Levenshtein edit distances and the Levenshtein *ratio* used by CEAFF.
   *
   * The paper (§IV-C) measures string similarity between entity names with
@@ -57,10 +54,5 @@ object Levenshtein {
       i += 1
     }
     prev(b.length)
-  }
-
-  /** UDF form of unit-cost [[lev]] (for oracle cross-checks). */
-  val levUdf: UserDefinedFunction = udf { (a: String, b: String) =>
-    if (a == null || b == null) -1 else lev(a, b)
   }
 }

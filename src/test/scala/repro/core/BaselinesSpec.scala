@@ -12,8 +12,8 @@ class BaselinesSpec extends SparkSpec with Fixtures {
   test("every roster baseline produces a full test-domain matrix") {
     val n = dense.test.count()
     Baselines.names.foreach { name =>
-      assert(Baselines.matrix(dense, fsDense, name).cells.length == n * n,
-        s"$name matrix incomplete")
+      val m = Baselines.matrix(dense, fsDense, name)
+      assert(m.rows == n && m.cols == n, s"$name matrix is ${m.rows} x ${m.cols}")
     }
   }
 

@@ -214,7 +214,7 @@ class CeaffSpec extends SparkSpec with Fixtures {
   test("features produces three full matrices") {
     val n = mono.test.count()
     Seq(Ceaff.Struct, Ceaff.Sem, Ceaff.Str).foreach { f =>
-      assert(fsMono.local(f).cells.length == n * n, f)
+      assert(fsMono.local(f).rows == n && fsMono.local(f).cols == n, f)
       assert(fsMono.matrix(f).count() == n * n, f)
     }
   }

@@ -34,7 +34,8 @@ class SimilarityMatrixSpec extends SparkSpec with Fixtures {
   /** The confident cells of `m` as a local relation `(src, dst, score)`. */
   private def confidentCells(m: org.apache.spark.sql.DataFrame) = {
     val lm = LocalMatrix.of(m)
-    lm.toDF(spark, SimilarityMatrix.confident(lm))
+    SimilarityMatrix.confident(lm).toSeq.map(i => (lm.src(i), lm.dst(i), lm.score(i)))
+      .toDF("src", "dst", "score")
   }
 
   test("confidentCells keeps only row-and-column maxima") {
@@ -103,23 +104,46 @@ class SimilarityMatrixSpec extends SparkSpec with Fixtures {
     assert(got == Set((0L, 0L, 0.4), (0L, 1L, 0.875)))
   }
 
-  test("weightedSum treats missing cells as zero") {
-    val a = mat(Seq((0L, 0L, 1.0)))
-    val b = mat(Seq((0L, 1L, 1.0)))
-    val got = cells(SimilarityMatrix.weightedSum(spark, Seq(a -> 0.5, b -> 0.5))).toSet
-    assert(got == Set((0L, 0L, 0.5), (0L, 1L, 0.5)))
-  }
-
-  test("weightedSum adds 0.0 + w1·a + w2·b + … in term order over the union of supports") {
+  test("weightedSum adds 0.0 + w1·a + w2·b + … in term order") {
     // With unit weights, (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in
-    // their last bit; cells (0,1), (1,1) and (2,5) lie in some terms only.
-    val a = mat(Seq((0L, 0L, 0.1), (0L, 1L, 0.7), (2L, 5L, 0.3)))
-    val b = mat(Seq((0L, 0L, 0.2), (1L, 1L, 0.4)))
-    val c = mat(Seq((0L, 0L, 0.3), (2L, 5L, -0.0)))
+    // their last bit, and a sum of -0.0 terms is 0.0.
+    def grid(v00: Double, v05: Double, v10: Double, v15: Double) =
+      mat(Seq((0L, 0L, v00), (0L, 5L, v05), (1L, 0L, v10), (1L, 5L, v15)))
+    val a = grid(0.1, 0.7, -0.0, 0.3)
+    val b = grid(0.2, 0.0, -0.0, 0.4)
+    val c = grid(0.3, -0.0, -0.0, 0.0)
     val got = cells(SimilarityMatrix.weightedSum(spark, Seq(a -> 1.0, b -> 1.0, c -> 1.0)))
       .map { case (s, d, v) => (s, d) -> java.lang.Double.doubleToRawLongBits(v) }.toMap
-    val want = Map((0L, 0L) -> (0.0 + 0.1 + 0.2 + 0.3), (0L, 1L) -> 0.7, (1L, 1L) -> 0.4, (2L, 5L) -> 0.3)
+    val want = Map((0L, 0L) -> (0.0 + 0.1 + 0.2 + 0.3), (0L, 5L) -> 0.7,
+      (1L, 0L) -> 0.0, (1L, 5L) -> (0.3 + 0.4))
     assert(got == want.map { case (k, v) => k -> java.lang.Double.doubleToRawLongBits(v) })
+    // A raw -0.0 score in a driver term adds as 0.0 too.
+    val neg = new LocalMatrix(Array(0L), Array(0L), Array(-0.0))
+    assert(java.lang.Double.doubleToRawLongBits(SimilarityMatrix.weightedSum(Seq(neg -> 1.0)).score(0)) == 0L)
+  }
+
+  test("weightedSum rejects terms over different grids") {
+    val a = LocalMatrix.grid(Array(0L), Array(0L, 1L), 0.5)
+    val otherDsts = LocalMatrix.grid(Array(0L), Array(0L, 2L), 0.5)
+    val otherSrcs = LocalMatrix.grid(Array(1L), Array(0L, 1L), 0.5)
+    intercept[IllegalArgumentException](SimilarityMatrix.weightedSum(Seq(a -> 1.0, otherDsts -> 1.0)))
+    intercept[IllegalArgumentException](SimilarityMatrix.weightedSum(Seq(a -> 1.0, otherSrcs -> 1.0)))
+    intercept[IllegalArgumentException](SimilarityMatrix.weightedSum(spark,
+      Seq(mat(Seq((0L, 0L, 0.5), (0L, 1L, 0.5))) -> 1.0, mat(Seq((0L, 0L, 0.5), (0L, 2L, 0.5))) -> 1.0)))
+  }
+
+  test("LocalMatrix.of rejects a matrix that lacks a cell of its grid") {
+    // Ids {0, 1} x {0, 1}: cell (1, 1) is missing.
+    val holed = mat(Seq((0L, 0L, 0.5), (0L, 1L, 0.5), (1L, 0L, 0.5)))
+    val e = intercept[IllegalArgumentException](LocalMatrix.of(holed))
+    assert(e.getMessage.contains("(1, 1)"), e.getMessage)
+    intercept[IllegalArgumentException](LocalMatrix.of(mat(Seq((0L, 0L, 0.5), (0L, 0L, 0.5)))))
+  }
+
+  test("a LocalMatrix holds one score per cell of its grid") {
+    intercept[IllegalArgumentException](new LocalMatrix(Array(0L, 1L), Array(5L), Array(0.5)))
+    intercept[IllegalArgumentException](new LocalMatrix(Array(0L), Array(5L), Array(0.5, 0.5)))
+    assert(new LocalMatrix(Array(0L, 1L), Array(5L), Array(0.5, 0.5)).rows == 2)
   }
 
   test("oracle: weightedSum agrees with DuckDB full-outer sum") {
@@ -147,9 +171,9 @@ class SimilarityMatrixSpec extends SparkSpec with Fixtures {
   test("cosineCross scores missing embeddings as zero") {
     val e1 = Seq((0L, Seq(1.0, 0.0))).toDF("id", "vec")
     val e2 = Seq((5L, Seq(1.0, 0.0))).toDF("id", "vec")
-    val domain = Seq((0L, 5L), (0L, 6L), (1L, 5L)).toDF("src", "dst")
+    val domain = Seq(0L, 1L).toDF("src").crossJoin(Seq(5L, 6L).toDF("dst"))
     val got = cells(SimilarityMatrix.cosineCross(e1, e2, domain)).toSet
-    assert(got == Set((0L, 5L, 1.0), (0L, 6L, 0.0), (1L, 5L, 0.0)))
+    assert(got == Set((0L, 5L, 1.0), (0L, 6L, 0.0), (1L, 5L, 0.0), (1L, 6L, 0.0)))
   }
 
   test("oracle: cosineCross agrees with DuckDB over exploded vectors") {

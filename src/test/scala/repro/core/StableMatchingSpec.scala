@@ -159,8 +159,10 @@ class StableMatchingSpec extends SparkSpec with Fixtures {
     assert(StableMatching.blockingPairs(cellSeq, got).isEmpty)
   }
 
-  test("distributed DAA rejects incomplete preference lists") {
-    // After (0,0) is matched, neither src 1 nor dst 1 has a cell left.
+  test("distributed DAA rejects an incomplete matrix at the input") {
+    // Cell (1,1) of the grid {0,1} x {0,1} is missing, so src 1 and dst 1
+    // would have no cell left after (0,0) is matched: LocalMatrix.of
+    // rejects the matrix before any matching starts.
     val m = Seq((0L, 0L, 0.9), (1L, 0L, 0.8), (0L, 1L, 0.1))
     intercept[IllegalArgumentException](StableMatching.daa(spark, mat(m)))
   }
