@@ -58,12 +58,7 @@ object Experiments {
   // -------------------------------------------------------------------
 
   def table2(spark: SparkSession, scale: Double): Seq[KgPairStats] =
-    Scenario.all.map { sc =>
-      val b = benchmark(spark, sc, scale)
-      val st = KgStats.of(b)
-      b.unpersistAll()
-      st
-    }
+    Scenario.all.map(sc => KgStats.of(benchmark(spark, sc, scale)))
 
   // -------------------------------------------------------------------
   // Tables III & IV — accuracy of CEAFF vs baseline proxies
@@ -105,9 +100,7 @@ object Experiments {
       : Seq[(String, String, Double)] =
     datasets.flatMap { sc =>
       val b = benchmark(spark, sc, scale)
-      val rows = accuracies(spark, b).map { case (m, a) => (m, sc.name, a) }
-      b.unpersistAll()
-      rows
+      accuracies(spark, b).map { case (m, a) => (m, sc.name, a) }
     }
 
   def table3(spark: SparkSession, scale: Double): Seq[(String, String, Double)] =
@@ -158,9 +151,7 @@ object Experiments {
   def table5(spark: SparkSession, scale: Double): Seq[(String, String, Double)] =
     table5Datasets.flatMap { sc =>
       val b = benchmark(spark, sc, scale)
-      val rows = ablationAccuracies(spark, b).map { case (m, a) => (m, sc.name, a) }
-      b.unpersistAll()
-      rows
+      ablationAccuracies(spark, b).map { case (m, a) => (m, sc.name, a) }
     }
 
   // -------------------------------------------------------------------
@@ -183,11 +174,9 @@ object Experiments {
       val r = Ceaff.run(spark, fs, CeaffConfig())
       val indep = Evaluation.rankingMetrics(r.local, b.testPairs)
       val collAcc = Evaluation.accuracy(r.matching, b.testPairs)
-      val rows = baseRows ++ Seq(
+      baseRows ++ Seq(
         RankRow("ceaffNoC", sc.name, indep.hitsAt1, Some(indep.hitsAt10), Some(indep.mrr)),
         RankRow("ceaff", sc.name, collAcc, None, None))
-      b.unpersistAll()
-      rows
     }
 
   // -------------------------------------------------------------------

@@ -24,8 +24,6 @@ class BaselinesSpec extends SparkSpec with Fixtures {
   test("every baseline releases the caches it makes") {
     val b = BenchmarkGen
       .generate(spark, Scenario.Dbp15kFrEn, nGold = 60, nFringe = 20, seed = 3).cached()
-    Seq(b.triples1, b.triples2, b.names1, b.names2, b.dict1, b.dict2, b.seeds, b.test)
-      .foreach(_.count())
     // The session is shared with every other suite: compare, do not
     // expect an empty set.
     val before = spark.sparkContext.getPersistentRDDs.keySet
@@ -37,7 +35,6 @@ class BaselinesSpec extends SparkSpec with Fixtures {
       Baselines.accuracy(b, fs, name)
       assert(spark.sparkContext.getPersistentRDDs.keySet == before, s"$name left a cache behind")
     }
-    b.unpersistAll()
   }
 
   test("unknown baseline name is rejected") {
@@ -60,7 +57,6 @@ class BaselinesSpec extends SparkSpec with Fixtures {
     assert(gainSparse > gainDense,
       s"depth gain sparse=$gainSparse should exceed dense=$gainDense")
     fsSparse.unpersistAll()
-    sparse.unpersistAll()
   }
 
   test("bootstrapping does not collapse the structural signal") {

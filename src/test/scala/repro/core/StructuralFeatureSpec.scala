@@ -146,6 +146,5 @@ class StructuralFeatureSpec extends SparkSpec with Fixtures {
     val accSparse = Evaluation.accuracy(SimilarityMatrix.greedyMatch(msSparse), sparse.test)
     assert(accSparse < accDense + 0.05,
       s"sparse=$accSparse dense=$accDense — paper's density ordering violated")
-    sparse.unpersistAll()
   }
 }

@@ -20,7 +20,6 @@ class ExperimentsSpec extends SparkSpec with Fixtures {
     val s = Experiments.sizesFor("SRPRS", TinyScale)
     assert(b.nGold == s.nGold)
     assert(b.seeds.count() + b.test.count() == s.nGold)
-    b.unpersistAll()
   }
 
   test("accuracies runs the full method roster on one benchmark") {
@@ -28,7 +27,6 @@ class ExperimentsSpec extends SparkSpec with Fixtures {
     val rows = Experiments.accuracies(spark, b)
     assert(rows.map(_._1) == Experiments.accuracyMethods)
     rows.foreach { case (m, a) => assert(a >= 0.0 && a <= 1.0, s"$m: $a") }
-    b.unpersistAll()
   }
 
   test("ablationAccuracies covers every Table V row plus LR") {
@@ -36,7 +34,6 @@ class ExperimentsSpec extends SparkSpec with Fixtures {
     val rows = Experiments.ablationAccuracies(spark, b)
     assert(rows.map(_._1) == Experiments.ablations.map(_._1) :+ "LR")
     rows.foreach { case (m, a) => assert(a >= 0.0 && a <= 1.0, s"$m: $a") }
-    b.unpersistAll()
   }
 
   test("table2 reports stats for all nine KG pairs") {

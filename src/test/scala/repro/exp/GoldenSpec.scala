@@ -48,27 +48,25 @@ class GoldenSpec extends SparkSpec with Fixtures {
   /** Every digest of one benchmark, by group name. */
   private def digests(scenario: Scenario, nGold: Long): Map[String, String] = {
     val b = BenchmarkGen.generate(spark, scenario, nGold, nGold / 2, seed = 7).cached()
-    try {
-      val fs = Ceaff.features(spark, b)
-      val baselines = Baselines.names.map(n => n -> Baselines.matrix(b, fs, n))
-      val lr = LRFusion.learnWeights(spark, b, fs)
-      val runs = (Experiments.ablations :+ ("LR" -> CeaffConfig(fixedWeights = Some(lr))))
-        .map { case (name, cfg) => name -> Ceaff.run(spark, fs, cfg) }
-      val ranked = Seq(Ceaff.Struct, Ceaff.Sem, Ceaff.Str).map(f => f -> fs.local(f)) ++
-        baselines ++ runs.map { case (name, r) => name -> r.local }
-      Map(
-        "Ms" -> digest(_.matrix(fs.local(Ceaff.Struct))),
-        "Mn" -> digest(_.matrix(fs.local(Ceaff.Sem))),
-        "Ml" -> digest(_.matrix(fs.local(Ceaff.Str))),
-        "embeddings" -> digest(d => Seq(fs.struct1, fs.struct2, fs.sem1, fs.sem2).foreach(d.vectors)),
-        "baselines" -> digest(d => baselines.foreach { case (n, m) => d.string(n); d.matrix(m) }),
-        "tableV" -> digest(d => runs.foreach { case (n, r) =>
-          d.string(n); d.weights(r.weights); d.pairs(r.matching)
-        }),
-        "ranks" -> digest(d => ranked.foreach { case (n, m) =>
-          d.string(n); d.ranks(Evaluation.rankingMetrics(m, b.testPairs))
-        }))
-    } finally b.unpersistAll()
+    val fs = Ceaff.features(spark, b)
+    val baselines = Baselines.names.map(n => n -> Baselines.matrix(b, fs, n))
+    val lr = LRFusion.learnWeights(spark, b, fs)
+    val runs = (Experiments.ablations :+ ("LR" -> CeaffConfig(fixedWeights = Some(lr))))
+      .map { case (name, cfg) => name -> Ceaff.run(spark, fs, cfg) }
+    val ranked = Seq(Ceaff.Struct, Ceaff.Sem, Ceaff.Str).map(f => f -> fs.local(f)) ++
+      baselines ++ runs.map { case (name, r) => name -> r.local }
+    Map(
+      "Ms" -> digest(_.matrix(fs.local(Ceaff.Struct))),
+      "Mn" -> digest(_.matrix(fs.local(Ceaff.Sem))),
+      "Ml" -> digest(_.matrix(fs.local(Ceaff.Str))),
+      "embeddings" -> digest(d => Seq(fs.struct1, fs.struct2, fs.sem1, fs.sem2).foreach(d.vectors)),
+      "baselines" -> digest(d => baselines.foreach { case (n, m) => d.string(n); d.matrix(m) }),
+      "tableV" -> digest(d => runs.foreach { case (n, r) =>
+        d.string(n); d.weights(r.weights); d.pairs(r.matching)
+      }),
+      "ranks" -> digest(d => ranked.foreach { case (n, m) =>
+        d.string(n); d.ranks(Evaluation.rankingMetrics(m, b.testPairs))
+      }))
   }
 
   private val golden: Seq[(Scenario, Long, Map[String, String])] = Seq(

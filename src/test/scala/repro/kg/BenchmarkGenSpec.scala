@@ -1,5 +1,6 @@
 package repro.kg
 
+import org.apache.spark.JobCount
 import org.apache.spark.sql.functions._
 import repro.{Fixtures, Oracle, SparkSpec}
 
@@ -12,6 +13,23 @@ class BenchmarkGenSpec extends SparkSpec with Fixtures {
     .generate(spark, Scenario.SrprsWd, NGold, NFringe, seed = 7).cached()
   private lazy val cross = BenchmarkGen
     .generate(spark, Scenario.Dbp15kZhEn, NGold, NFringe, seed = 7).cached()
+
+  test("cached() holds every member on the driver, in collect order") {
+    val g = BenchmarkGen.generate(spark, Scenario.SrprsEnFr, nGold = 60, nFringe = 20, seed = 3)
+    val b = g.cached()
+    def members(x: EaBenchmark) =
+      Seq(x.triples1, x.triples2, x.names1, x.names2, x.dict1, x.dict2, x.seeds, x.test)
+    val read = members(b).map(m => JobCount(spark.sparkContext)(m.collect().toSeq))
+    assert(read.forall(_._2 == 0), s"Spark jobs per member: ${read.map(_._2)}")
+    assert(EaBenchmark.pairs(b.seeds) == EaBenchmark.pairs(g.seeds))
+    assert(EaBenchmark.pairs(b.test) == EaBenchmark.pairs(g.test))
+    // The generator's plans without a shuffle give the same rows in the
+    // same order; a dictionary is grouped by token, so compare it by token.
+    Seq(0, 1, 2, 3).foreach(i => assert(read(i)._1 == members(g)(i).collect().toSeq, i))
+    def dict(d: org.apache.spark.sql.DataFrame) =
+      EaBenchmark.dictionary(d).map { case (t, v) => t -> v.toSeq }
+    assert(dict(b.dict1) == dict(g.dict1) && dict(b.dict2) == dict(g.dict2))
+  }
 
   test("seed/test split partitions the gold pairs") {
     val s = mono.seeds.select("src").as[Long].collect().toSet
