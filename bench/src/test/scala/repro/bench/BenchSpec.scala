@@ -1,6 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.exp.Experiments
 
 /** Base for bench suites: shared SparkSession + result capture.
   *
@@ -11,8 +12,7 @@ import repro.SparkSpec
   */
 trait BenchSpec extends SparkSpec {
 
-  /** Benchmark scale; `REPRO_SCALE` overrides (1.0 ≈ default bench). */
-  lazy val scale: Double = repro.exp.Experiments.envScale(1.0)
+  lazy val scale: Double = BenchSpec.scale
 
   /** Print a clearly delimited result block. */
   def emit(title: String, body: String): Unit = {
@@ -20,4 +20,13 @@ trait BenchSpec extends SparkSpec {
     println(body)
     println("=" * (title.length + 14))
   }
+}
+
+object BenchSpec {
+
+  /** Benchmark scale; `REPRO_SCALE` overrides (1.0 ≈ default bench). */
+  lazy val scale: Double = Experiments.envScale(1.0)
+
+  /** Table III's rows, computed once per run: Table VI is a slice of them. */
+  lazy val table3Rows: Seq[Experiments.RankRow] = Experiments.table3(SparkSpec.shared, scale)
 }

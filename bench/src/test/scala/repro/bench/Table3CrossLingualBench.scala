@@ -9,7 +9,7 @@ import repro.exp.Experiments
 class Table3CrossLingualBench extends BenchSpec {
 
   test("Table III: cross-lingual EA accuracy") {
-    val rows = Experiments.table3(spark, scale)
+    val rows = Experiments.hitsAt1(BenchSpec.table3Rows)
     emit("Table III — cross-lingual EA accuracy",
       Experiments.pivot(rows, Experiments.accuracyMethods,
         Experiments.table3Datasets.map(_.name)))

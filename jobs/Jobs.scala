@@ -37,7 +37,7 @@ object DatasetStats {
 object RunCrossLingual {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("ceaff-table3")
-    val rows = Experiments.table3(spark, Jobs.scaleOf(args))
+    val rows = Experiments.hitsAt1(Experiments.table3(spark, Jobs.scaleOf(args)))
     println("== Table III — cross-lingual EA accuracy ==")
     println(Experiments.pivot(rows, Experiments.accuracyMethods,
       Experiments.table3Datasets.map(_.name)))
@@ -49,7 +49,7 @@ object RunCrossLingual {
 object RunMonoLingual {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("ceaff-table4")
-    val rows = Experiments.table4(spark, Jobs.scaleOf(args))
+    val rows = Experiments.hitsAt1(Experiments.table4(spark, Jobs.scaleOf(args)))
     println("== Table IV — mono-lingual EA accuracy ==")
     println(Experiments.pivot(rows, Experiments.accuracyMethods,
       Experiments.table4Datasets.map(_.name)))
@@ -74,7 +74,8 @@ object RunAblation {
 object RunRanking {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("ceaff-table6")
-    val rows = Experiments.table6(spark, Jobs.scaleOf(args))
+    val rows = Experiments.table6(Experiments.accuracyTable(spark,
+      Experiments.table6Datasets, Jobs.scaleOf(args)))
     println("== Table VI — evaluation as ranking problem ==")
     println(Experiments.formatRanking(rows))
     spark.stop()

@@ -15,6 +15,9 @@ import repro.kg.{BenchmarkGen, EaBenchmark}
   *                     row-argmax, "w/o C")
   * @param fixedWeights externally supplied weights (the LR baseline);
   *                     overrides `adaptive` when set
+  * @param theta1       adaptive fusion's threshold θ1: a confident cell
+  *                     scoring above it weighs θ2 (always
+  *                     `AdaptiveFusion.DefaultTheta2`)
   *
   * `theta1 = Double.PositiveInfinity` is the "w/o θ1, θ2" row: no finite
   * score exceeds it, so no correspondence is capped at θ2.
@@ -26,7 +29,6 @@ final case class CeaffConfig(
     adaptive: Boolean = true,
     collective: Boolean = true,
     theta1: Double = AdaptiveFusion.DefaultTheta1,
-    theta2: Double = AdaptiveFusion.DefaultTheta2,
     fixedWeights: Option[Map[String, Double]] = None) {
   def featureNames: Seq[String] =
     (if (useStruct) Seq(Ceaff.Struct) else Nil) ++
@@ -154,23 +156,23 @@ object Ceaff {
     val names = cfg.featureNames
     require(names.nonEmpty, "at least one feature must be enabled")
     val feats = names.map(n => n -> fs.local(n))
+    def adaptive(features: Seq[(String, LocalMatrix)]) =
+      AdaptiveFusion.fuseOf(features, cfg.theta1, AdaptiveFusion.DefaultTheta2)
 
     cfg.fixedWeights match {
       case Some(w) => AdaptiveFusion.fuseFixedOf(feats, w)
       case None if !cfg.adaptive => AdaptiveFusion.fuseFixedOf(feats, names.map(_ -> 1.0).toMap)
       case None if cfg.useSemantic && cfg.useString =>
         val m = feats.toMap
-        val (wt, textual) = AdaptiveFusion.fuseOf(
-          Seq(Sem -> m(Sem), Str -> m(Str)), cfg.theta1, cfg.theta2)
+        val (wt, textual) = adaptive(Seq(Sem -> m(Sem), Str -> m(Str)))
         if (!cfg.useStruct) (wt, textual)
         else {
-          val (w, fused) = AdaptiveFusion.fuseOf(
-            Seq(Struct -> m(Struct), Textual -> textual), cfg.theta1, cfg.theta2)
+          val (w, fused) = adaptive(Seq(Struct -> m(Struct), Textual -> textual))
           // Report flattened effective weights for interpretability.
           (Map(Struct -> w(Struct), Sem -> w(Textual) * wt(Sem), Str -> w(Textual) * wt(Str)), fused)
         }
       case None => // adaptive, but fewer than {sem, str} enabled
-        AdaptiveFusion.fuseOf(feats, cfg.theta1, cfg.theta2)
+        adaptive(feats)
     }
   }
 

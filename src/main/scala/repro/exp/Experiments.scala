@@ -61,8 +61,15 @@ object Experiments {
     Scenario.all.map(sc => KgStats.of(benchmark(spark, sc, scale)))
 
   // -------------------------------------------------------------------
-  // Tables III & IV — accuracy of CEAFF vs baseline proxies
+  // Tables III, IV & VI — accuracy and ranking of CEAFF vs baseline proxies
   // -------------------------------------------------------------------
+
+  /** One method's scores on one dataset. Methods that rank (the baselines
+    * and `ceaffNoC`) report Hits@1/Hits@10/MRR; collective ones report
+    * only their accuracy, as Hits@1 (their output has no ranked lists).
+    */
+  final case class RankRow(method: String, dataset: String,
+                           hitsAt1: Double, hitsAt10: Option[Double], mrr: Option[Double])
 
   /** Method roster for the accuracy tables, paper order: structure-only
     * group, then multi-feature group, then CEAFF variants.
@@ -70,22 +77,35 @@ object Experiments {
   val accuracyMethods: Seq[String] =
     Baselines.names ++ Seq("ceaffNoStr", "ceaff")
 
-  /** All method accuracies on one benchmark, every method scored on one
-    * feature set. `ceaffNoStr` is the paper's "CEAFF w/o M^l" row
-    * (semantic+structural only).
+  /** Method roster of Table VI, in its row order. */
+  val rankingMethods: Seq[String] =
+    Baselines.names ++ Seq("ceaffNoC", "ceaff")
+
+  /** Every method's row on one benchmark, each scored on one feature set:
+    * the baselines, `ceaffNoStr` (the paper's "CEAFF w/o M^l" row,
+    * semantic+structural only), then `ceaffNoC` and `ceaff` from one full
+    * CEAFF run (its fused matrix ranked, and its DAA matching). A
+    * baseline's Hits@1 is its row-argmax accuracy: the argmax keeps a
+    * row's first maximum, which is the one cell of rank 1.
     */
-  def accuracies(spark: SparkSession, b: EaBenchmark): Seq[(String, Double)] = {
+  def accuracies(spark: SparkSession, b: EaBenchmark): Seq[RankRow] = {
     val fs = Ceaff.features(spark, b)
-    def ceaff(cfg: CeaffConfig): Double =
-      Evaluation.accuracy(Ceaff.run(spark, fs, cfg).matching, b.testPairs)
-    accuracyMethods.map { m =>
-      progress(s"${b.scenario.name}: running $m")
-      m -> (m match {
-        case "ceaff"      => ceaff(CeaffConfig())
-        case "ceaffNoStr" => ceaff(CeaffConfig(useString = false))
-        case baseline     => Baselines.accuracy(b, fs, baseline)
-      })
+    val d = b.scenario.name
+    def ranked(m: String, matrix: LocalMatrix): RankRow = {
+      val r = Evaluation.rankingMetrics(matrix, b.testPairs)
+      RankRow(m, d, r.hitsAt1, Some(r.hitsAt10), Some(r.mrr))
     }
+    def collective(m: String, r: CeaffResult): RankRow =
+      RankRow(m, d, Evaluation.accuracy(r.matching, b.testPairs), None, None)
+    val baselines = Baselines.names.map { m =>
+      progress(s"$d: running $m")
+      ranked(m, Baselines.matrix(b, fs, m))
+    }
+    progress(s"$d: running ceaffNoStr")
+    val noStr = collective("ceaffNoStr", Ceaff.run(spark, fs, CeaffConfig(useString = false)))
+    progress(s"$d: running ceaff")
+    val full = Ceaff.run(spark, fs, CeaffConfig())
+    baselines ++ Seq(noStr, ranked("ceaffNoC", full.local), collective("ceaff", full))
   }
 
   val table3Datasets: Seq[Scenario] = Seq(
@@ -95,19 +115,30 @@ object Experiments {
   val table4Datasets: Seq[Scenario] = Seq(
     Scenario.Dbp100kWd, Scenario.Dbp100kYg, Scenario.SrprsWd, Scenario.SrprsYg)
 
-  /** `(method, dataset, accuracy)` rows. */
-  def accuracyTable(spark: SparkSession, datasets: Seq[Scenario], scale: Double)
-      : Seq[(String, String, Double)] =
-    datasets.flatMap { sc =>
-      val b = benchmark(spark, sc, scale)
-      accuracies(spark, b).map { case (m, a) => (m, sc.name, a) }
-    }
+  val table6Datasets: Seq[Scenario] = Seq(
+    Scenario.Dbp15kZhEn, Scenario.Dbp15kJaEn, Scenario.Dbp15kFrEn)
 
-  def table3(spark: SparkSession, scale: Double): Seq[(String, String, Double)] =
+  /** Every method's row on each dataset, in dataset order. */
+  def accuracyTable(spark: SparkSession, datasets: Seq[Scenario], scale: Double): Seq[RankRow] =
+    datasets.flatMap(sc => accuracies(spark, benchmark(spark, sc, scale)))
+
+  def table3(spark: SparkSession, scale: Double): Seq[RankRow] =
     accuracyTable(spark, table3Datasets, scale)
 
-  def table4(spark: SparkSession, scale: Double): Seq[(String, String, Double)] =
+  def table4(spark: SparkSession, scale: Double): Seq[RankRow] =
     accuracyTable(spark, table4Datasets, scale)
+
+  /** Table VI — ranking evaluation on DBP15K: the DBP15K rows of Table VI's
+    * methods, taken from [[accuracyTable]] rows, dataset by dataset.
+    */
+  def table6(rows: Seq[RankRow]): Seq[RankRow] = {
+    val datasets = table6Datasets.map(_.name).toSet
+    rows.filter(r => datasets(r.dataset) && rankingMethods.contains(r.method))
+  }
+
+  /** The `(method, dataset, Hits@1)` cells that Tables III and IV pivot. */
+  def hitsAt1(rows: Seq[RankRow]): Seq[(String, String, Double)] =
+    rows.map(r => (r.method, r.dataset, r.hitsAt1))
 
   // -------------------------------------------------------------------
   // Table V — ablations
@@ -152,31 +183,6 @@ object Experiments {
     table5Datasets.flatMap { sc =>
       val b = benchmark(spark, sc, scale)
       ablationAccuracies(spark, b).map { case (m, a) => (m, sc.name, a) }
-    }
-
-  // -------------------------------------------------------------------
-  // Table VI — ranking evaluation on DBP15K
-  // -------------------------------------------------------------------
-
-  final case class RankRow(method: String, dataset: String,
-                           hitsAt1: Double, hitsAt10: Option[Double], mrr: Option[Double])
-
-  def table6(spark: SparkSession, scale: Double): Seq[RankRow] =
-    Seq(Scenario.Dbp15kZhEn, Scenario.Dbp15kJaEn, Scenario.Dbp15kFrEn).flatMap { sc =>
-      val b = benchmark(spark, sc, scale)
-      val fs = Ceaff.features(spark, b)
-      val baseRows = Baselines.names.map { name =>
-        progress(s"${sc.name}: ranking $name")
-        val r = Evaluation.rankingMetrics(Baselines.matrix(b, fs, name), b.testPairs)
-        RankRow(name, sc.name, r.hitsAt1, Some(r.hitsAt10), Some(r.mrr))
-      }
-      progress(s"${sc.name}: ranking ceaff")
-      val r = Ceaff.run(spark, fs, CeaffConfig())
-      val indep = Evaluation.rankingMetrics(r.local, b.testPairs)
-      val collAcc = Evaluation.accuracy(r.matching, b.testPairs)
-      baseRows ++ Seq(
-        RankRow("ceaffNoC", sc.name, indep.hitsAt1, Some(indep.hitsAt10), Some(indep.mrr)),
-        RankRow("ceaff", sc.name, collAcc, None, None))
     }
 
   // -------------------------------------------------------------------

@@ -1,8 +1,5 @@
 package repro.kg
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-
 /** Per-KG statistics in the shape of the paper's Table II. */
 final case class KgPairStats(
     dataset: String,
@@ -12,24 +9,21 @@ final case class KgPairStats(
 
 object KgStats {
 
-  /** Distinct entities mentioned by a KG (named or appearing in triples). */
-  def entityCount(triples: DataFrame, names: DataFrame): Long =
-    names.select(col("id"))
-      .union(triples.select(col("src").as("id")))
-      .union(triples.select(col("dst").as("id")))
-      .distinct()
-      .count()
-
+  /** Table II's counts, from `b`'s driver copies. A KG's entities are the
+    * distinct ids that are named or appear in its triples.
+    */
   def of(b: EaBenchmark): KgPairStats = {
     val s = b.scenario
+    def entities(edges: Seq[(Long, Long)], labels: Map[Long, Label]): Long =
+      (labels.keySet ++ edges.flatMap { case (a, c) => Seq(a, c) }).size
     KgPairStats(
       dataset = s.name,
-      kg1Label = s.lang1.code, triples1 = b.triples1.count(),
-      entities1 = entityCount(b.triples1, b.names1),
-      kg2Label = s.lang2.code, triples2 = b.triples2.count(),
-      entities2 = entityCount(b.triples2, b.names2),
-      goldPairs = b.seeds.count() + b.test.count(),
-      seedPairs = b.seeds.count(),
-      testPairs = b.test.count())
+      kg1Label = s.lang1.code, triples1 = b.edges1.size,
+      entities1 = entities(b.edges1, b.labels1),
+      kg2Label = s.lang2.code, triples2 = b.edges2.size,
+      entities2 = entities(b.edges2, b.labels2),
+      goldPairs = b.seedPairs.size + b.testPairs.size,
+      seedPairs = b.seedPairs.size,
+      testPairs = b.testPairs.size)
   }
 }

@@ -1,5 +1,6 @@
 package repro.exp
 
+import repro.core.{Baselines, Ceaff, CeaffConfig, Evaluation}
 import repro.kg.Scenario
 import repro.{Fixtures, SparkSpec}
 
@@ -25,8 +26,35 @@ class ExperimentsSpec extends SparkSpec with Fixtures {
   test("accuracies runs the full method roster on one benchmark") {
     val b = Experiments.benchmark(spark, Scenario.SrprsWd, TinyScale)
     val rows = Experiments.accuracies(spark, b)
-    assert(rows.map(_._1) == Experiments.accuracyMethods)
-    rows.foreach { case (m, a) => assert(a >= 0.0 && a <= 1.0, s"$m: $a") }
+    assert(rows.map(_.method) ==
+      Baselines.names ++ Seq("ceaffNoStr", "ceaffNoC", "ceaff"))
+    assert(rows.forall(_.dataset == Scenario.SrprsWd.name))
+    rows.foreach { r =>
+      assert(r.hitsAt1 >= 0.0 && r.hitsAt1 <= 1.0, s"${r.method}: ${r.hitsAt1}")
+      // only the collective rows lack ranked lists
+      val ranked = !Set("ceaffNoStr", "ceaff")(r.method)
+      assert(r.hitsAt10.isDefined == ranked && r.mrr.isDefined == ranked, r.method)
+    }
+  }
+
+  test("Table VI is the DBP15K slice of the accuracy rows, scored as Table III scores") {
+    val b = Experiments.benchmark(spark, Scenario.Dbp15kZhEn, TinyScale)
+    val rows = Experiments.accuracies(spark, b)
+    val by = rows.map(r => r.method -> r).toMap
+    val fs = Ceaff.features(spark, b)
+    // a baseline's Hits@1 is its row-argmax accuracy, to the bit
+    for (name <- Baselines.names)
+      assert(by(name).hitsAt1 == Baselines.accuracy(b, fs, name), name)
+    val full = Ceaff.run(spark, fs, CeaffConfig())
+    assert(by("ceaff").hitsAt1 == Evaluation.accuracy(full.matching, b.testPairs))
+    assert(by("ceaffNoC").hitsAt1 == Evaluation.rankingMetrics(full.local, b.testPairs).hitsAt1)
+
+    val other = Experiments.accuracies(spark,
+      Experiments.benchmark(spark, Scenario.SrprsEnFr, TinyScale))
+    val slice = Experiments.table6(rows ++ other)
+    assert(slice.map(r => (r.method, r.dataset)) ==
+      Experiments.rankingMethods.map(_ -> Scenario.Dbp15kZhEn.name))
+    assert(slice == rows.filter(_.method != "ceaffNoStr"))
   }
 
   test("ablationAccuracies covers every Table V row plus LR") {
