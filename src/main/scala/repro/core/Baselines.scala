@@ -66,7 +66,7 @@ object Baselines {
         id -> (HashVectors.normalize(sv) ++ HashVectors.normalize(ne(id)))
       }
     val (u1, u2) = (unified(fs.struct1, fs.sem1), unified(fs.struct2, fs.sem2))
-    fs.local(Ceaff.Struct).tabulate((s, d) => EntityTables.cosine(u1, u2, s, d))
+    EntityTables.cosines(u1, u2).matrix(fs.local(Ceaff.Struct))
   }
 
   /** The similarity matrix of a named baseline, scored on `fs` on the

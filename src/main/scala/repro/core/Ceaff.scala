@@ -119,7 +119,7 @@ object Ceaff {
     *  2. both KGs' structural vectors, propagated from the seed pairs
     *     ([[StructuralFeature.embedBoth]]);
     *  3. each feature's matrix, every cell of the test domain scored from
-    *     those tables ([[EntityTables.score]]).
+    *     those tables ([[EntityTables.kernel]]).
     *
     * Nothing is cached: the feature set holds every matrix and embedding
     * on the driver.
@@ -130,7 +130,7 @@ object Ceaff {
     val (st1, st2) = StructuralFeature.embedBoth(b, b.seedPairs)
     val tables = EntityTables(st1, st2, sem1, sem2, b.labels1, b.labels2)
     val grid = SimilarityMatrix.testGrid(b)
-    val matrices = Seq(Struct, Sem, Str).map(f => f -> grid.tabulate(tables.score(f))).toMap
+    val matrices = Seq(Struct, Sem, Str).map(f => f -> tables.kernel(f).matrix(grid)).toMap
     new FeatureSet(st1, st2, sem1, sem2, matrices, f => matrices(f).toDF(spark), Nil)
   }
 
@@ -141,8 +141,8 @@ object Ceaff {
   def scoresOn(b: EaBenchmark, fs: FeatureSet, pairs: Seq[(Long, Long)],
                features: Seq[String]): Seq[Array[Double]] = {
     val tables = EntityTables(fs.struct1, fs.struct2, fs.sem1, fs.sem2, b.labels1, b.labels2)
-    val score = features.map(tables.score)
-    pairs.map { case (s, d) => score.map(_(s, d)).toArray }
+    val scores = features.map(tables.kernel(_).on(pairs))
+    pairs.indices.map(i => scores.map(_(i)).toArray)
   }
 
   /** Fuse the configured features on the driver.

@@ -23,12 +23,25 @@ final class LocalMatrix(val srcs: Array[Long], val dsts: Array[Long], val score:
   def src(i: Int): Long = srcs(i / cols)
   def dst(i: Int): Long = dsts(i % cols)
 
-  /** The matrix with every cell `(s, d)` scored `f(s, d)` instead, one
-    * call per cell on the driver.
+  /** The matrix with every cell `(s, d)` scored `f(row(s), col(d))`
+    * instead, on the driver: each source is prepared once by `row` and
+    * each target once by `col`, and each cell is scored from the two.
     */
-  def tabulate(f: (Long, Long) => Double): LocalMatrix =
-    new LocalMatrix(srcs, dsts,
-      Array.tabulate(score.length)(i => LocalMatrix.checked(src(i), dst(i), f(src(i), dst(i)))))
+  def tabulate[R, C](row: Long => R, col: Long => C)(f: (R, C) => Double): LocalMatrix = {
+    val cs = dsts.toIndexedSeq.map(col)
+    val out = new Array[Double](score.length)
+    var r = 0
+    while (r < rows) {
+      val x = row(srcs(r))
+      var c = 0
+      while (c < cols) {
+        out(r * cols + c) = LocalMatrix.checked(srcs(r), dsts(c), f(x, cs(c)))
+        c += 1
+      }
+      r += 1
+    }
+    new LocalMatrix(srcs, dsts, out)
+  }
 
   /** Every cell as a local relation `(src, dst, score)`, which Spark reads
     * from the driver without a job.

@@ -6,7 +6,7 @@ import repro.text.HashVectors
 
 /** Semantic feature `M^n`: averaged word embeddings of entity names
   * (paper §IV-B), cosine similarity over the test domain
-  * ([[EntityTables.score]] of the two sides' name embeddings).
+  * ([[EntityTables.cosines]] of the two sides' name embeddings).
   *
   * `ne(e) = (1/l) Σ w_i` over the in-dictionary tokens of `e`'s name;
   * out-of-vocabulary tokens are skipped (the paper's stated limitation of

@@ -30,8 +30,8 @@ object SimilarityMatrix {
     */
   def cosineCross(emb1: DataFrame, emb2: DataFrame, domain: DataFrame): DataFrame = {
     val (v1, v2) = (EntityTables.vectors(emb1), EntityTables.vectors(emb2))
-    LocalMatrix.of(domain.select(col("src"), col("dst"), lit(0.0).as("score")))
-      .tabulate((s, d) => EntityTables.cosine(v1, v2, s, d)).toDF(domain.sparkSession)
+    EntityTables.cosines(v1, v2).matrix(LocalMatrix.of(domain.select(col("src"), col("dst"), lit(0.0).as("score"))))
+      .toDF(domain.sparkSession)
   }
 
   /** The full test domain: test source ids × test target ids (paper: the

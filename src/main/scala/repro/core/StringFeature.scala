@@ -13,5 +13,5 @@ object StringFeature {
     * the driver from `b`'s names.
     */
   def matrix(spark: SparkSession, b: EaBenchmark): DataFrame =
-    SimilarityMatrix.testGrid(b).tabulate((s, d) => EntityTables.ratio(b.labels1, b.labels2, s, d)).toDF(spark)
+    EntityTables.ratios(b.labels1, b.labels2).matrix(SimilarityMatrix.testGrid(b)).toDF(spark)
 }

@@ -44,18 +44,30 @@ object StructuralFeature {
     */
   val JitterAmp = 1e-4
 
-  /** A raw structural cosine of cell `(s, d)`, calibrated: rescaled below
-    * θ1, exact ties broken deterministically in (src, dst).
+  /** The FNV-1a state after `jitter:$s:`, the part of cell `(s, d)`'s
+    * jitter key that row `s` fixes.
     */
-  def calibrated(raw: Double, s: Long, d: Long): Double =
-    raw * CosineScale + NameModel.frac(s"jitter:$s:$d") * JitterAmp
+  def jitterState(s: Long): Long = HashVectors.hash64(s"jitter:$s:")
+
+  /** Cell `(s, d)`'s jitter, `NameModel.frac(s"jitter:$s:$d")`, from row
+    * `s`'s [[jitterState]] `h`.
+    */
+  def jitter(h: Long, d: Long): Double = NameModel.fracOf(HashVectors.hashDigits(h, d))
+
+  /** A raw structural cosine of cell `(s, d)`, calibrated: rescaled below
+    * θ1, exact ties broken deterministically in (src, dst). `h` is row
+    * `s`'s [[jitterState]].
+    */
+  def calibrated(raw: Double, h: Long, d: Long): Double =
+    raw * CosineScale + jitter(h, d) * JitterAmp
 
   /** Calibrate a raw structural cosine matrix `(src, dst, score)` (see
     * [[calibrated]]).
     */
   def calibrate(m: DataFrame): DataFrame =
     m.select(col("src"), col("dst"),
-      udf(calibrated _).apply(col("score"), col("src"), col("dst")).as("score"))
+      udf((raw: Double, s: Long, d: Long) => calibrated(raw, jitterState(s), d))
+        .apply(col("score"), col("src"), col("dst")).as("score"))
 
   /** Propagate `layers` rounds from anchored initial vectors, on the
     * driver.
@@ -77,20 +89,42 @@ object StructuralFeature {
     */
   def propagate(edges: Iterable[(Long, Long)], ids: Iterable[Long],
                 anchored: EntityTables.Vectors, dim: Int, layers: Int): EntityTables.Vectors = {
-    val neighbours: Map[Long, Array[Long]] =
-      (edges.flatMap { case (s, d) => Seq(s -> d, d -> s) } ++ ids.map(id => id -> id))
-        .groupMap(_._1)(_._2).map { case (i, ns) => i -> ns.toArray.distinct.sorted }
-    def degree(i: Long): Long = neighbours(i).length.toLong
+    val u = LocalMatrix.ids(ids.toArray)
+    def index(id: Long): Int = java.util.Arrays.binarySearch(u, id)
+    val around = Array.fill(u.length)(Array.newBuilder[Long])
+    u.indices.foreach(i => around(i) += u(i))
+    edges.foreach { case (s, d) =>
+      val (i, j) = (index(s), index(d))
+      if (i >= 0) around(i) += d
+      if (j >= 0) around(j) += s
+    }
+    val neighbours = around.map(nb => LocalMatrix.ids(nb.result()))
+    // Senders in ascending id, and each message's weight 1/sqrt(d_j · d_i).
+    val senders = neighbours.map(_.map(index).filter(_ >= 0))
+    val weights = u.indices.map(i => senders(i).map(j =>
+      1.0 / math.sqrt((neighbours(j).length.toLong * neighbours(i).length.toLong).toDouble))).toArray
+    val anchor = u.map(anchored.get(_).orNull)
     // Non-anchored entities start at zero: embeddings are then pure
     // mixtures of anchor directions, with no cross-KG random noise —
     // the label-propagation analogue of the paper's trained alignment.
-    val init = ids.map(id => id -> anchored.getOrElse(id, new Array[Double](dim))).toMap
-    def round(emb: EntityTables.Vectors): EntityTables.Vectors = emb.map { case (i, _) =>
-      i -> anchored.getOrElse(i, HashVectors.normalize(neighbours(i).iterator.filter(emb.contains)
-        .map(j => HashVectors.scale(emb(j), 1.0 / math.sqrt((degree(j) * degree(i)).toDouble)))
-        .reduceLeft(HashVectors.add)))
+    def round(emb: Array[Array[Double]]): Array[Array[Double]] = Array.tabulate(u.length) { i =>
+      if (anchor(i) != null) anchor(i)
+      else {
+        val (js, ws) = (senders(i), weights(i))
+        val sum = emb(js(0)).map(_ * ws(0))
+        var k = 1
+        while (k < js.length) {
+          val (x, w) = (emb(js(k)), ws(k))
+          var c = 0
+          while (c < sum.length) { sum(c) += x(c) * w; c += 1 }
+          k += 1
+        }
+        HashVectors.normalize(sum)
+      }
     }
-    Iterator.iterate(init)(round).drop(layers).next()
+    val init = u.indices.map(i => if (anchor(i) != null) anchor(i) else new Array[Double](dim)).toArray
+    val emb = Iterator.iterate(init)(round).drop(layers).next()
+    u.indices.map(i => u(i) -> emb(i)).toMap
   }
 
   /** [[propagate]] over one KG's Spark tables.
@@ -151,6 +185,6 @@ object StructuralFeature {
   def matrix(b: EaBenchmark, layers: Int = DefaultLayers,
              extraPairs: Iterable[(Long, Long)] = Nil): LocalMatrix = {
     val (v1, v2) = embedBoth(b, b.seedPairs ++ extraPairs, layers)
-    SimilarityMatrix.testGrid(b).tabulate((s, d) => calibrated(EntityTables.cosine(v1, v2, s, d), s, d))
+    EntityTables.structural(v1, v2).matrix(SimilarityMatrix.testGrid(b))
   }
 }

@@ -98,11 +98,12 @@ object EaBenchmark {
   }
 
   /** Alignment pairs `(src, dst)` — seed, test or gold pairs, or a
-    * matching — in collect order.
+    * matching — in collect order. `df`'s own rows are collected, so a
+    * frame read again reuses its query plan.
     */
   def pairs(df: DataFrame): Seq[(Long, Long)] = {
-    import df.sparkSession.implicits._
-    df.select(col("src"), col("dst")).as[(Long, Long)].collect().toSeq
+    val (s, d) = (df.schema.fieldIndex("src"), df.schema.fieldIndex("dst"))
+    df.collect().toSeq.map(r => (r.getAs[Number](s).longValue, r.getAs[Number](d).longValue))
   }
 }
 

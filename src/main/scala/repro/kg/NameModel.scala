@@ -17,11 +17,16 @@ import repro.text.HashVectors
 object NameModel {
 
   /** Uniform double in [0,1) derived from a string key — the only source
-    * of randomness in the generator. FNV-1a's upper bits are weak for
-    * short keys, so a murmur3-style finalizer mixes the hash first.
+    * of randomness in the generator.
     */
-  def frac(key: String): Double = {
-    var h = HashVectors.hash64(key)
+  def frac(key: String): Double = fracOf(HashVectors.hash64(key))
+
+  /** [[frac]] of a key whose FNV-1a hash is `hash`. FNV-1a's upper bits are
+    * weak for short keys, so a murmur3-style finalizer mixes the hash
+    * first.
+    */
+  def fracOf(hash: Long): Double = {
+    var h = hash
     h ^= h >>> 33; h *= 0xff51afd7ed558ccdL
     h ^= h >>> 33; h *= 0xc4ceb9fe1a85ec53L
     h ^= h >>> 33

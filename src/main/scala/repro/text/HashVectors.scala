@@ -17,13 +17,24 @@ object HashVectors {
   def hash64(s: String): Long = {
     var h = 0xcbf29ce484222325L
     var i = 0
-    while (i < s.length) {
-      h ^= s.charAt(i)
-      h *= 0x100000001b3L
-      i += 1
-    }
+    while (i < s.length) { h = fnv(h, s.charAt(i)); i += 1 }
     h
   }
+
+  /** FNV-1a state `h` continued over the decimal digits of `n >= 0`:
+    * `hashDigits(hash64(k), n) == hash64(s"$k$n")`, without the string.
+    */
+  def hashDigits(h: Long, n: Long): Long = {
+    require(n >= 0, s"negative id $n")
+    var q = 1L // the largest power of ten <= n, or 1
+    while (q <= n / 10) q *= 10
+    var x = h
+    var r = n
+    while (q > 0) { x = fnv(x, ('0' + r / q).toChar); r %= q; q /= 10 }
+    x
+  }
+
+  private def fnv(h: Long, c: Char): Long = (h ^ c) * 0x100000001b3L
 
   /** Deterministic unit Gaussian vector for `key`. */
   def unitGaussian(key: String, dim: Int): Array[Double] = {
@@ -45,12 +56,16 @@ object HashVectors {
     s
   }
 
-  /** Cosine similarity; 0 when either vector is zero. */
-  def cosine(a: Array[Double], b: Array[Double]): Double = {
-    val na = math.sqrt(dot(a, a))
-    val nb = math.sqrt(dot(b, b))
-    if (na == 0.0 || nb == 0.0) 0.0 else dot(a, b) / (na * nb)
+  /** A vector with its L2 norm `sqrt(dot(v, v))`, computed once so that a
+    * cosine takes one dot product.
+    */
+  final class Normed(val v: Array[Double]) {
+    val norm: Double = math.sqrt(dot(v, v))
   }
+
+  /** Cosine similarity; 0 when either vector is zero. */
+  def cosine(a: Normed, b: Normed): Double =
+    if (a.norm == 0.0 || b.norm == 0.0) 0.0 else dot(a.v, b.v) / (a.norm * b.norm)
 
   def add(a: Array[Double], b: Array[Double]): Array[Double] = {
     require(a.length == b.length)

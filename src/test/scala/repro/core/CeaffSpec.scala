@@ -160,7 +160,7 @@ class CeaffSpec extends SparkSpec with Fixtures {
     val oov = mn.srcs.indexOf(1L)
     assert((0 until mn.cols).forall(c => mn.score(oov * mn.cols + c) == 0.0), "all-OOV row of M^n")
     assert(fs.struct1(2L).forall(_ == 0.0), "unreached source has a structural vector")
-    assert(Seq(10L, 11L, 12L, 13L).forall(d => EntityTables.cosine(fs.struct1, fs.struct2, 2L, d) == 0.0))
+    assert(EntityTables.cosines(fs.struct1, fs.struct2).on(Seq(10L, 11L, 12L, 13L).map(2L -> _)).forall(_ == 0.0))
   }
 
   test("generation, features and fusion do not depend on the partitioning") {

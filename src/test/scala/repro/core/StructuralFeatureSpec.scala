@@ -2,7 +2,8 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.kg.{BenchmarkGen, Scenario}
+import repro.kg.{BenchmarkGen, NameModel, Scenario}
+import repro.text.HashVectors
 import repro.{Fixtures, Oracle, SparkSpec}
 
 class StructuralFeatureSpec extends SparkSpec with Fixtures {
@@ -90,6 +91,62 @@ class StructuralFeatureSpec extends SparkSpec with Fixtures {
           "edges" -> triples.select("src", "dst"), "ids" -> ids.toDF("id"),
           "anchors" -> components(a1))
       }
+    }
+  }
+
+  /** [[StructuralFeature.propagate]] as a map from id to vector in every
+    * round: each entity's messages scaled one by one and added with
+    * `reduceLeft` in ascending sender id.
+    */
+  private def mapPropagate(edges: Iterable[(Long, Long)], ids: Iterable[Long],
+                           anchored: EntityTables.Vectors, dim: Int, layers: Int): EntityTables.Vectors = {
+    val neighbours: Map[Long, Array[Long]] =
+      (edges.flatMap { case (s, d) => Seq(s -> d, d -> s) } ++ ids.map(id => id -> id))
+        .groupMap(_._1)(_._2).map { case (i, ns) => i -> ns.toArray.distinct.sorted }
+    def degree(i: Long): Long = neighbours(i).length.toLong
+    val init = ids.map(id => id -> anchored.getOrElse(id, new Array[Double](dim))).toMap
+    def round(emb: EntityTables.Vectors): EntityTables.Vectors = emb.map { case (i, _) =>
+      i -> anchored.getOrElse(i, HashVectors.normalize(neighbours(i).iterator.filter(emb.contains)
+        .map(j => HashVectors.scale(emb(j), 1.0 / math.sqrt((degree(j) * degree(i)).toDouble)))
+        .reduceLeft(HashVectors.add)))
+    }
+    Iterator.iterate(init)(round).drop(layers).next()
+  }
+
+  test("propagate equals the map-based propagation bit for bit") {
+    def bits(v: EntityTables.Vectors) = v.map { case (id, x) => id -> x.map(java.lang.Double.doubleToRawLongBits).toSeq }
+    for (seed <- 1 to 4; layers <- 0 to 3) {
+      val rnd = new scala.util.Random(seed)
+      // 0..19 wired at random, with a self-edge and repeated edges; 20 is
+      // isolated; 21-22 form a component no anchor reaches; 99 is an
+      // edge endpoint with no name. Anchors may have negative components,
+      // so messages can cancel to -0.0.
+      val ids = (0L to 22L)
+      val edges = Seq.fill(30)((rnd.nextInt(20).toLong, rnd.nextInt(20).toLong)) ++
+        Seq(5L -> 5L, 1L -> 2L, 2L -> 1L, 21L -> 22L, 99L -> 3L, 4L -> 99L)
+      val anchored = rnd.shuffle((0L until 20L).toList).take(5)
+        .map(u => u -> HashVectors.unitGaussian(s"a:$seed:$u", 8)).toMap
+      withClue(s"seed $seed, $layers layers: ") {
+        assert(bits(StructuralFeature.propagate(edges, ids, anchored, 8, layers)) ==
+          bits(mapPropagate(edges, ids, anchored, 8, layers)))
+      }
+    }
+    // Two anchors with opposite and signed-zero components, whose messages
+    // to 2 cancel.
+    val opposite = Map(0L -> Array(1.0, -0.0), 1L -> Array(-1.0, 0.0))
+    val cancel = Seq(0L -> 2L, 1L -> 2L)
+    assert(bits(StructuralFeature.propagate(cancel, 0L to 2L, opposite, 2, 1)) ==
+      bits(mapPropagate(cancel, 0L to 2L, opposite, 2, 1)))
+  }
+
+  test("the prepared jitter equals frac of the jitter key bit for bit") {
+    val rnd = new scala.util.Random(11)
+    val ids = Seq(0L, 1L, 9L, 10L, 99L, 100L, Long.MaxValue - 1, Long.MaxValue) ++
+      Seq.fill(200)(rnd.nextLong() & Long.MaxValue) ++ Seq.fill(100)(rnd.nextInt(100000).toLong)
+    for (s <- ids.take(40); d <- ids) {
+      val h = StructuralFeature.jitterState(s)
+      assert(java.lang.Double.doubleToRawLongBits(StructuralFeature.jitter(h, d)) ==
+        java.lang.Double.doubleToRawLongBits(NameModel.frac(s"jitter:$s:$d")), s"($s, $d)")
     }
   }
 

@@ -5,9 +5,11 @@ import org.scalatest.funsuite.AnyFunSuite
 
 /** Pure-function tests for [[Levenshtein]] plus ScalaCheck law tests.
   * DuckDB's built-in `levenshtein` serves as an oracle in
-  * [[repro.core.StringFeatureSpec]] (Spark-side).
+  * [[repro.core.StringFeatureSpec]] (Spark-side), and the cost-2 dynamic
+  * program of the companion for the bit-parallel `levStar` and `ratio`.
   */
 class LevenshteinSpec extends AnyFunSuite {
+  import LevenshteinSpec.{levStarDp, ratioDp}
 
   private def check(p: Prop, min: Int = 200): Unit = {
     val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(min), p)
@@ -109,6 +111,34 @@ class LevenshteinSpec extends AnyFunSuite {
     check(Prop.forAll(word, word)((a, b) => (Levenshtein.ratio(a, b) == 1.0) == (a == b)))
   }
 
+  /** Strings over `alphabet` whose lengths sit at and around the 64-bit
+    * word boundaries, or anywhere up to 200.
+    */
+  private def longWord(alphabet: Seq[Char]): Gen[String] = for {
+    n <- Gen.oneOf(Gen.oneOf(0, 1, 63, 64, 65, 127, 128, 129), Gen.choose(0, 200))
+    cs <- Gen.listOfN(n, Gen.oneOf(alphabet))
+  } yield cs.mkString
+
+  private val alphabets = Seq(
+    "two-letter" -> Seq('a', 'b'),
+    "Latin" -> (('a' to 'z') ++ Seq(' ', '_', 'é')),
+    "CJK" -> ('\u6728' to '\u6740'))
+
+  for ((name, alphabet) <- alphabets)
+    test(s"levStar and ratio equal the cost-2 dynamic program on $name strings of up to 200 characters") {
+      val w = longWord(alphabet)
+      check(Prop.forAll(w, w) { (a, b) =>
+        Levenshtein.levStar(a, b) == levStarDp(a, b) && Levenshtein.ratio(a, b) == ratioDp(a, b)
+      }, min = 300)
+    }
+
+  test("levStar carries across words: long runs of one letter") {
+    // Every match of a one-letter run adds into one carry chain, which
+    // crosses each word boundary of the longer string.
+    for (n <- Seq(63, 64, 65, 127, 128, 129, 200); m <- Seq(1, 2, 64, 65, 130))
+      assert(Levenshtein.levStar("a" * n, "b" + "a" * m) == levStarDp("a" * n, "b" + "a" * m), s"$n, $m")
+  }
+
   test("lev matches a naive recursive reference on short strings") {
     def naive(a: String, b: String, i: Int, j: Int): Int =
       if (math.min(i, j) == 0) math.max(i, j)
@@ -119,5 +149,32 @@ class LevenshteinSpec extends AnyFunSuite {
     val short = Gen.listOfN(5, Gen.oneOf('a', 'b', 'c')).map(_.mkString)
     check(Prop.forAll(short, short)((a, b) =>
       Levenshtein.lev(a, b) == naive(a, b, a.length, b.length)), min = 100)
+  }
+}
+
+object LevenshteinSpec {
+
+  /** Levenshtein distance with substitution cost 2 by the two-row dynamic
+    * program: the definition that `Levenshtein.levStar` computes through
+    * the LCS length.
+    */
+  def levStarDp(a: String, b: String): Int = {
+    var prev = Array.tabulate(b.length + 1)(identity)
+    for (i <- 1 to a.length) {
+      val curr = new Array[Int](b.length + 1)
+      curr(0) = i
+      for (j <- 1 to b.length) {
+        val sub = prev(j - 1) + (if (a(i - 1) == b(j - 1)) 0 else 2)
+        curr(j) = math.min(sub, math.min(prev(j), curr(j - 1)) + 1)
+      }
+      prev = curr
+    }
+    prev(b.length)
+  }
+
+  /** The paper's ratio from [[levStarDp]]; 1 for two empty strings. */
+  def ratioDp(a: String, b: String): Double = {
+    val total = a.length + b.length
+    if (total == 0) 1.0 else (total - levStarDp(a, b)).toDouble / total
   }
 }
